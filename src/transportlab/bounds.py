@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .characteristics import CharacteristicEngine
 from .continuity import log_state_problem, solve_continuity
@@ -387,7 +386,7 @@ def _bias_integrals(theta: float, p: float, n: int) -> tuple[float, float]:
     xs = np.linspace(0.0, 1.0, n)
     g1 = (-np.log1p((theta - 1.0) * xs)) ** p
     g2 = (np.log1p((1.0 / theta - 1.0) * xs)) ** p
-    return float(trapezoid(g1, xs)), float(trapezoid(g2, xs))
+    return float(np.trapezoid(g1, xs)), float(np.trapezoid(g2, xs))
 
 
 def _measured_gain(v_expr: str, rho0_expr: str, theta: float, p: float) -> float:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .fields import Grid, VelocityField
 
@@ -60,9 +59,6 @@ class CharacteristicPath:
     @property
     def end_x(self) -> float:
         return float(self.x_values[-1])
-
-    def position_at(self, s: float) -> float:
-        return float(np.interp(s, self.s_values, self.x_values))
 
 
 @dataclass(frozen=True)
@@ -410,4 +406,4 @@ class CharacteristicEngine:
             return 1.0
         slopes = np.array([float(self.v.ddx(t0 + si, min(max(xi, 0.0), 1.0)))
                            for si, xi in zip(ss, xs)])
-        return float(np.exp(trapezoid(slopes, ss)))
+        return float(np.exp(np.trapezoid(slopes, ss)))

@@ -17,7 +17,8 @@ import argparse
 import json
 import math
 import os
-from typing import List, Tuple
+from itertools import chain
+from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -47,31 +48,32 @@ def _fmt_p(p) -> str:
     return "inf" if p == math.inf else repr(p) if isinstance(p, int) else _fmt(p)
 
 
-def _write(path: str, lines: List[str]):
+def _write(path: str, lines: Iterable[str]):
+    """Write the lines as they come, each ended by a newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def _field_lines(state) -> Iterator[str]:
+    yield f"t,x,{'rho' if state.kind == 'rho' else 'w'}"
+    xs = [_fmt(x) for x in state.xs]
+    for t, row in zip(state.times, state.values):
+        ts = _fmt(t)
+        yield from (f"{ts},{x},{_fmt(val)}" for x, val in zip(xs, row))
 
 
 def _mode_simulate(sc: Scenario, out: str) -> Tuple[List[str], bool]:
     sim = simulation(sc)
-    state = sim.state
-    col = "rho" if state.kind == "rho" else "w"
-    lines = [f"t,x,{col}"]
-    for k, t in enumerate(state.times):
-        row = state.values[k]
-        ts = _fmt(t)
-        lines.extend(f"{ts},{_fmt(x)},{_fmt(val)}"
-                     for x, val in zip(state.xs, row))
     files = [os.path.join(out, f"{sc.name}_field.csv")]
-    _write(files[0], lines)
+    _write(files[0], _field_lines(sim.state))
     if sim.closed_loop is not None:
         run = sim.closed_loop
-        loop = ["t,W,v,u"]
-        loop.extend(f"{_fmt(t)},{_fmt(w)},{_fmt(v)},{_fmt(u)}"
-                    for t, w, v, u in zip(run.times, run.w_trace,
-                                          run.v_values, run.u_trace))
         files.append(os.path.join(out, f"{sc.name}_loop.csv"))
-        _write(files[1], loop)
+        _write(files[1], chain(
+            ["t,W,v,u"],
+            (f"{_fmt(t)},{_fmt(w)},{_fmt(v)},{_fmt(u)}"
+             for t, w, v, u in zip(run.times, run.w_trace,
+                                   run.v_values, run.u_trace))))
     return files, True
 
 
@@ -84,15 +86,18 @@ def _certificates(sc: Scenario):
             for cert in certify(run, est, sc.p, sc.mu)]
 
 
-def _mode_certify(sc: Scenario, out: str) -> Tuple[List[str], bool]:
-    certs = _certificates(sc)
-    lines = ["estimate,p,mu,t,lhs,rhs,margin"]
+def _cert_lines(certs) -> Iterator[str]:
+    yield "estimate,p,mu,t,lhs,rhs,margin"
     for c in certs:
         head = f"{c.estimate_id},{_fmt_p(c.p)},{_fmt(c.mu)}"
-        lines.extend(f"{head},{_fmt(t)},{_fmt(l)},{_fmt(r)},{_fmt(m)}"
-                     for t, l, r, m in zip(c.times, c.lhs, c.rhs, c.margin))
+        yield from (f"{head},{_fmt(t)},{_fmt(l)},{_fmt(r)},{_fmt(m)}"
+                    for t, l, r, m in zip(c.times, c.lhs, c.rhs, c.margin))
+
+
+def _mode_certify(sc: Scenario, out: str) -> Tuple[List[str], bool]:
+    certs = _certificates(sc)
     csv_path = os.path.join(out, f"{sc.name}_cert.csv")
-    _write(csv_path, lines)
+    _write(csv_path, _cert_lines(certs))
 
     verdicts = []
     for c in certs:
@@ -141,11 +146,11 @@ def _mode_oracle(sc: Scenario, out: str) -> Tuple[List[str], bool]:
     char = solve_field(problem, grid)
     ora = upwind_solve(problem, grid)
     diff = np.abs(char.values - ora.values)
-    lines = ["t,max_abs,l2"]
-    lines.extend(f"{_fmt(t)},{_fmt(row.max())},{_fmt(lp_norm(row, grid.xs, 2))}"
-                 for t, row in zip(grid.times, diff))
     per_time = os.path.join(out, f"{sc.name}_oracle.csv")
-    _write(per_time, lines)
+    _write(per_time, chain(
+        ["t,max_abs,l2"],
+        (f"{_fmt(t)},{_fmt(row.max())},{_fmt(lp_norm(row, grid.xs, 2))}"
+         for t, row in zip(grid.times, diff))))
 
     err1 = float(diff[-1].max())
     nx2 = 2 * sc.nx - 1

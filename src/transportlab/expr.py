@@ -400,21 +400,6 @@ def _fmt(node: Node) -> str:
     return f"{left} {node.op} {right}"
 
 
-def _free_vars(node: Node) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, Neg):
-        return _free_vars(node.arg)
-    if isinstance(node, BinOp):
-        return _free_vars(node.left) | _free_vars(node.right)
-    if isinstance(node, Call):
-        out: frozenset[str] = frozenset()
-        for a in node.args:
-            out |= _free_vars(a)
-        return out
-    return frozenset()
-
-
 @dataclass(frozen=True)
 class Expression:
     """An immutable parsed expression; call it with keyword bindings.
@@ -438,9 +423,6 @@ class Expression:
 
     def __call__(self, **bindings):
         return self._evaluator()(bindings)
-
-    def free_variables(self) -> frozenset[str]:
-        return _free_vars(self.root)
 
 
 def parse(text: str, allowed_vars=("t", "x")) -> Expression:

@@ -310,9 +310,12 @@ class Grid:
         xs.flags.writeable = False
         return xs
 
-    @property
+    @cached_property
     def times(self) -> np.ndarray:
-        return np.arange(self.nt + 1) * self.dt
+        """The ``nt + 1`` row times; built once per grid and read-only."""
+        times = np.arange(self.nt + 1) * self.dt
+        times.flags.writeable = False
+        return times
 
     def cfl_number(self, vmax: float) -> float:
         return self.dt * vmax / self.dx

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .bounds import INF, TrajectoryRun
 from .characteristics import CharacteristicEngine
@@ -31,7 +30,7 @@ from .continuity import solve_continuity
 from .expr import Expression, parse
 from .fields import (BoundarySignal, Grid, InitialProfile, SpaceTimeField,
                      VelocityField)
-from .norms import NormTrace
+from .norms import NormTrace, cumulative_trapezoid
 from .transport import SolutionField
 
 __all__ = [
@@ -144,7 +143,7 @@ class ProductionScenario:
             ps, lam_p = ss, lam_s
         self.l_lambda = _SAFETY * _fd_max(lam_p, ps)
 
-        self.w_start = float(trapezoid(r0, xs))
+        self.w_start = float(np.trapezoid(r0, xs))
         b0 = float(np.asarray(self.b(0.0), dtype=float))
         rho00 = float(np.asarray(self.rho0(0.0), dtype=float))
         self.compat_value_residual = abs(self.rho_s * math.exp(b0) - rho00)
@@ -255,15 +254,15 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
             f"{limit:.6g}")
     l_state = max(scenario.l_rho0, scenario.l_btilde / scenario.vmin)
 
-    w_now = float(trapezoid(np.asarray(rho_fn(xs), dtype=float) *
-                            np.ones_like(xs), xs))
+    w_now = float(np.trapezoid(np.asarray(rho_fn(xs), dtype=float) *
+                               np.ones_like(xs), xs))
     v_start = float(scenario.lam_values(w_now))
     v = np.full(len(win_times), v_start)
     residuals: List[float] = []
     for _ in range(_MAX_ITERATIONS):
-        V = np.concatenate(([0.0], cumulative_trapezoid(v, win_times)))
+        V = cumulative_trapezoid(v, win_times)
         rows = _inventory_rows(rho_fn, scenario.btilde, win_times, V, xs)
-        w_trace = trapezoid(rows, xs, axis=1)
+        w_trace = np.trapezoid(rows, xs, axis=1)
         v_new = np.asarray(scenario.lam_values(w_trace), dtype=float)
         res = float(np.max(np.abs(v_new - v)))
         residuals.append(res)
@@ -278,9 +277,9 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
 
     # one clean pass with the converged speed, so the returned travelled
     # distance and inventory match the speed they are reported with
-    V = np.concatenate(([0.0], cumulative_trapezoid(v, win_times)))
+    V = cumulative_trapezoid(v, win_times)
     rows = _inventory_rows(rho_fn, scenario.btilde, win_times, V, xs)
-    w_trace = trapezoid(rows, xs, axis=1)
+    w_trace = np.trapezoid(rows, xs, axis=1)
 
     report = FixedPointReport(
         window=(t_a, t_b), window_length=length, window_limit=limit,
@@ -421,7 +420,7 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
 
     velocity = sampled_velocity(times, v_values)
     rho = solve_field_rho(scenario, velocity, run_grid)
-    w_trace = trapezoid(rho.values, xs, axis=1)
+    w_trace = np.trapezoid(rho.values, xs, axis=1)
     b_row = np.asarray(scenario.b(times), dtype=float) * np.ones_like(times)
     u_trace = scenario.rho_s * \
         np.asarray(scenario.lam_values(w_trace), dtype=float) * np.exp(b_row)

@@ -2,10 +2,12 @@
 
 Densities are measured relative to the setpoint through ln(rho/rho_s), in
 L^p over [0, 1] (composite trapezoid) or in the sup norm; p = inf is a
-distinct selector, never a large float stand-in.  The decay estimates also
-need three running extremals of the data - the minimum transport speed, the
-maximum spatial slope of the speed, and the maximum reaction coefficient -
-plus a fading-memory maximum over a receding horizon window.
+distinct selector, never a large float stand-in.  The same rule, run as
+``cumulative_trapezoid``, gives the package's line integrals.  The decay
+estimates also need three running extremals of the data - the minimum
+transport speed, the maximum spatial slope of the speed, and the maximum
+reaction coefficient - plus a fading-memory maximum over a receding horizon
+window.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .fields import Grid, SpaceTimeField, VelocityField
 
 __all__ = [
+    "cumulative_trapezoid",
     "lp_norm",
     "lp_log_norm",
     "sup_log_norm",
@@ -42,13 +44,18 @@ def _check_p(p: PNorm) -> float:
     return p
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x: entry i integrates [x[0], x[i]]."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def lp_norm(values: np.ndarray, xs: np.ndarray, p: PNorm) -> float:
     """L^p norm of a sampled profile on [0, 1]; p = inf gives the sup norm."""
     values = np.asarray(values, dtype=float)
     p = _check_p(p)
     if p == math.inf:
         return float(np.max(np.abs(values)))
-    return float(trapezoid(np.abs(values) ** p, np.asarray(xs, dtype=float)) ** (1.0 / p))
+    return float(np.trapezoid(np.abs(values) ** p, np.asarray(xs, dtype=float)) ** (1.0 / p))
 
 
 def lp_log_norm(rho_row: np.ndarray, rho_s: float, xs: np.ndarray, p: PNorm) -> float:

@@ -26,7 +26,8 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .bounds import INF, TrajectoryRun, continuity_run, transport_run
+from .bounds import (_KIND_OF, INF, TrajectoryRun, canonical_estimate,
+                     continuity_run, transport_run)
 from .continuity import solve_continuity
 from .expr import ExpressionError, parse
 from .fields import (BoundarySignal, FieldValidationError, Grid,
@@ -59,9 +60,6 @@ _SCALAR_KEYS = {"rho_s": float, "dt": float, "horizon": float,
                 "nx": int, "count": int}
 _DEFAULT_ESTIMATE = {"transport": "E2.10", "continuity": "E2.4",
                      "manufacturing": "E3.6"}
-_ESTIMATE_KIND = {"E2.4": "continuity", "E2.5": "continuity",
-                  "E2.10": "transport", "E2.11": "transport",
-                  "E3.6": "manufacturing", "E3.7": "manufacturing"}
 
 
 class ScenarioError(ValueError):
@@ -213,10 +211,12 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
 
         estimates = data.get("estimates", (_DEFAULT_ESTIMATE[problem],))
         for est in estimates:
-            kind = _ESTIMATE_KIND.get(est)
-            if kind is None:
-                errors.append(f"unknown estimate id {est!r}")
-            elif kind != problem:
+            try:
+                kind = _KIND_OF[canonical_estimate(est)]
+            except ValueError as exc:
+                errors.append(str(exc))
+                continue
+            if kind != problem:
                 errors.append(f"estimate {est} applies to {kind} scenarios, "
                               f"not {problem}")
     else:

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .characteristics import CharacteristicEngine, JumpLocus, Separatrix
 from .fields import (
@@ -43,6 +42,7 @@ from .fields import (
     TransportCoefficients,
     VelocityField,
 )
+from .norms import cumulative_trapezoid
 
 __all__ = [
     "TransportProblem",
@@ -106,8 +106,8 @@ def _integrals_along(path_s, path_x, t_offset, problem):
     f_vals = np.asarray(problem.coeffs.f(ts, xs), dtype=float) * ones
     if len(path_s) == 1:
         return 0.0, 0.0
-    a_cum = np.concatenate([[0.0], cumulative_trapezoid(a_vals, path_s)])
-    conv = trapezoid(np.exp(-a_cum) * f_vals, path_s)
+    a_cum = cumulative_trapezoid(a_vals, path_s)
+    conv = np.trapezoid(np.exp(-a_cum) * f_vals, path_s)
     return float(a_cum[-1]), float(conv)
 
 
@@ -155,10 +155,7 @@ class _Fan:
         self.K = K
 
         feet = np.unique(np.concatenate([grid.xs, np.asarray(problem.phi.jump_points)]))
-        self.n_boundary = K + 1
         self.i_sep_left = K          # boundary member injected at t = 0
-        self.i_sep_right = K + 1     # initial member released at x = 0
-        self.feet = feet
         M = (K + 1) + len(feet)
         self.M = M
 
@@ -166,15 +163,15 @@ class _Fan:
         self.A = np.zeros(M)
         self.Fq = np.zeros(M)
         self.w0 = np.zeros(M)
-        self.active = np.zeros(M, dtype=bool)
+        # the active members are the tail [first, M): the initial members and
+        # the boundary members injected so far, the latest one at first
+        self.first = K
 
         # initial members
         self.X[K + 1:] = feet
-        self.active[K + 1:] = True
         if include_phi:
             self.w0[K + 1:] = np.asarray(problem.phi(feet), dtype=float)
         # boundary member injected at t = 0
-        self.active[K] = True
         if include_b:
             self.w0[K] = float(problem.b(0.0))
         self.include_b = include_b
@@ -192,7 +189,7 @@ class _Fan:
     def _field_row(self, f, t):
         """f at the active members; members not yet injected hold zero."""
         row = np.zeros(self.M)
-        act = self.active
+        act = slice(self.first, None)
         row[act] = f(t, np.clip(self.X[act], 0.0, 1.0))
         return row
 
@@ -201,20 +198,20 @@ class _Fan:
         h = self.grid.dt
         t0r = float(self.grid.times[k])
         t1r = t0r + h
-        act = self.active
-        x_new = self.engine._rk4(t0r, self.X[act], h)
-        a_old_int = self.A.copy()
-        self.X[act] = x_new
+        act = slice(self.first, None)
+        self.X[act] = self.engine._rk4(t0r, self.X[act], h)
         a_new = self._field_row(self.problem.coeffs.a, t1r)
         f_new = self._field_row(self.problem.coeffs.f, t1r)
-        self.A[act] += 0.5 * h * (self._a_cur[act] + a_new[act])
+        a_old = self.A[act]
+        a_step = 0.5 * h * (self._a_cur[act] + a_new[act])
         if self.include_f:
             self.Fq[act] += 0.5 * h * (
-                np.exp(-a_old_int[act]) * self._f_cur[act]
-                + np.exp(-self.A[act]) * f_new[act])
+                np.exp(-a_old) * self._f_cur[act]
+                + np.exp(-(a_old + a_step)) * f_new[act])
+        self.A[act] += a_step
         # inject the boundary member for row k+1 at the wall
         idx = self.K - (k + 1)
-        self.active[idx] = True
+        self.first = idx
         self.X[idx] = 0.0
         self.A[idx] = 0.0
         self.Fq[idx] = 0.0

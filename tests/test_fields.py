@@ -23,6 +23,13 @@ def test_grid_basics():
     assert g.times[-1] == pytest.approx(1.0)
     assert g.xs[0] == 0.0 and g.xs[-1] == 1.0
     assert g.cfl_number(vmax=2.0) == pytest.approx(2.0)
+    # node positions and row times are built once per grid and read-only
+    for arr in (g.xs, g.times):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    assert g.xs is g.xs and g.times is g.times
+    assert np.array_equal(g.times, np.arange(11) * 0.1)
 
 
 @pytest.mark.parametrize("nx,dt,horizon", [(1, 0.1, 1.0), (5, 0.0, 1.0), (5, 0.1, 0.05), (5, 0.3, 1.0)])

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from transportlab.fields import Grid, SpaceTimeField, VelocityField
 from transportlab.norms import (
     Extremals,
+    cumulative_trapezoid,
     extremals,
     fading_memory_max,
     heaviside_h,
@@ -143,3 +147,33 @@ def test_fading_memory_discounts_old_samples():
 def test_fading_memory_requires_positive_vmin():
     with pytest.raises(ValueError):
         fading_memory_max(np.array([0.0]), np.array([1.0]), 0.0, 1.0, 0.0)
+
+
+def test_package_import_loads_no_scipy():
+    # numpy is the only runtime dependency: importing the package and its CLI
+    # must not pull in any scipy module
+    code = ("import sys, transportlab, transportlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_cumulative_trapezoid_exact_on_piecewise_linear():
+    # y = |x - 0.3| sampled with a node at the kink: the rule is exact, and the
+    # running integral reaches the one-shot trapezoid sum
+    x = np.array([0.0, 0.1, 0.3, 0.45, 0.7, 1.0])
+    y = np.abs(x - 0.3)
+    exact = np.where(x <= 0.3, 0.09 - (0.3 - x) ** 2, 0.09 + (x - 0.3) ** 2) / 2.0
+    cum = cumulative_trapezoid(y, x)
+    assert cum.shape == x.shape and cum[0] == 0.0
+    np.testing.assert_allclose(cum, exact, rtol=0, atol=1e-15)
+    assert cum[-1] == np.trapezoid(y, x)
+    rng = np.random.default_rng(7)
+    xr = np.sort(rng.uniform(0.0, 2.0, 501))
+    yr = rng.normal(size=501)
+    assert cumulative_trapezoid(yr, xr)[-1] == pytest.approx(np.trapezoid(yr, xr), rel=1e-12)
