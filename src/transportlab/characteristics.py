@@ -3,13 +3,15 @@
 The flow X(s; t0, x0) solves dX/ds = v(t0 + s, X) with X(0) = x0, integrated
 by classical RK4 with the grid's time step (sub-stepped at the x = 1 exit so
 the crossing sample lands on the wall to 1e-10).  Inverse queries - which
-initial point or boundary instant feeds a given space-time node - are found
-by bisection, valid because the flow map is strictly increasing in x0 and
-the boundary emission map is strictly decreasing in the emission time.
-A reverse RK4 sweep seeds each bisection bracket; a bracket endpoint whose
-residual already meets the 1e-10 tolerance is accepted as it is, and
-bisection certifies the 1e-10 residual for the rest.  Flows, inverses, and
-the separatrix are memoized per engine, i.e. per (velocity, grid) pair.
+initial point or boundary instant feeds a given space-time node - start
+from a reverse RK4 sweep out of the query point.  The seed is checked
+first: its memoized forward flow is the curve a caller integrates along
+next, and a seed whose flow ends within the 1e-10 tolerance of the query is
+returned as it is, which on smooth speeds is nearly every query.  Only the
+seeds that miss are bracketed and bisected to the 1e-10 residual, valid
+because the flow map is strictly increasing in x0 and the boundary emission
+map is strictly decreasing in the emission time.  Flows, inverses, and the
+separatrix are memoized per engine, i.e. per (velocity, grid) pair.
 
 Evaluation of v is clamped to x in [0, 1] so that intermediate RK4 stages
 and bracket endpoints slightly outside the strip remain well-defined; this
@@ -166,6 +168,12 @@ class CharacteristicEngine:
                 lo = mid
         raise CharacteristicsError("exit sub-stepping did not converge")
 
+    def forget_paths(self) -> None:
+        """Drop the memoized flows and inverses; keep the separatrix and min v."""
+        self._flow_cache.clear()
+        self._x0_cache.clear()
+        self._t0_cache.clear()
+
     # -- separatrix and loci ----------------------------------------------
 
     def separatrix(self) -> Separatrix:
@@ -228,7 +236,7 @@ class CharacteristicEngine:
         return x
 
     def _reverse_sweep(self, t: float, x: float) -> float:
-        """Backward RK4 from (t, x) to time 0; seed for the x0 bisection."""
+        """Backward RK4 from (t, x) to time 0; seed for the x0 inverse."""
         pos = float(x)
         s = float(t)
         while s > 1e-15:
@@ -260,11 +268,12 @@ class CharacteristicEngine:
         if t == 0.0:
             return xs.copy()
 
-        guess = np.array([self._reverse_sweep(t, float(xq)) for xq in xs])
-        lo = np.clip(guess - 1e-7, 0.0, None)
-        hi = np.minimum(np.clip(guess + 1e-7, 0.0, None), xs)
-        return self._invert(lambda q: self._propagate_from_zero_time(t, q), xs,
-                            lo, hi, 0.0, xs, increasing=True, what="x0")
+        seeds = np.array([self._reverse_sweep(t, float(xq)) for xq in xs])
+        # a flow starts inside the strip only: a seed past x = 1 is a miss
+        return self._invert(seeds, xs, 0.0, xs,
+                            lambda q: self.flow(0.0, q, t).end_x if q <= 1.0 else np.inf,
+                            lambda q: self._propagate_from_zero_time(t, q),
+                            increasing=True, what="x0")
 
     def backtrace_t0(self, t: float, x: float) -> float:
         key = (float(t), float(x))
@@ -289,24 +298,39 @@ class CharacteristicEngine:
         lower = max(0.0, t - float(np.max(xs)) / vmin)
         lowers = np.maximum(0.0, t - xs / vmin)
 
-        guess = np.array([self._reverse_seed_t0(t, float(xq), lower) for xq in xs])
-        lo = np.maximum(lowers, guess - 1e-7)
-        hi = np.minimum(t, guess + 1e-7)
+        seeds = np.array([self._reverse_seed_t0(t, float(xq), lower) for xq in xs])
         # g(t0) = X(t - t0; t0, 0) - x is decreasing in t0
-        return self._invert(lambda q: self._propagate_from_boundary(t, q), xs,
-                            lo, hi, lowers, t, increasing=False, what="t0")
+        return self._invert(seeds, xs, lowers, t,
+                            lambda q: self.flow(q, 0.0, t).end_x,
+                            lambda q: self._propagate_from_boundary(t, q),
+                            increasing=False, what="t0")
 
     @staticmethod
-    def _invert(propagate, xs, lo, hi, lo_full, hi_full, increasing, what):
-        """Solve propagate(q) = xs for q, elementwise, by bracketed bisection.
+    def _invert(seeds, xs, lo_full, hi_full, flow_end, propagate, increasing, what):
+        """Solve propagate(q) = xs for q, elementwise, starting from seeds.
 
-        [lo, hi] is the seed bracket; where an endpoint lies on the wrong side
-        of the root it falls back to the certified bound lo_full or hi_full.
-        g(q) = propagate(q) - xs is increasing or decreasing in q as stated.
-        Bracket endpoints already within BACKTRACE_TOL are accepted as they
-        are; bisection runs on the rest.  Residuals are carried along with
-        the bracket, so the closing secant step costs one propagation.
+        q lies in [lo_full, hi_full]; g(q) = propagate(q) - xs is increasing
+        or decreasing in q as stated.  A seed inside those bounds whose
+        forward flow ends within BACKTRACE_TOL of its target is returned as
+        it is: flow_end(q) reads that end from the memoized flow, so the
+        caller's next integration along the curve is a cache hit.  The
+        misses are bisected in the bracket seed -+ 1e-7; where an endpoint
+        lies on the wrong side of the root it falls back to lo_full or
+        hi_full.  Bracket endpoints already within BACKTRACE_TOL are
+        accepted as they are.  Residuals are carried along with the
+        bracket, so the closing secant step costs one propagation.
         """
+        lo_full = np.broadcast_to(lo_full, xs.shape)
+        hi_full = np.broadcast_to(hi_full, xs.shape)
+        g_seed = np.array([flow_end(q) - x if lo <= q <= hi else np.inf
+                           for q, x, lo, hi in zip(seeds, xs, lo_full, hi_full)])
+        miss = ~(np.abs(g_seed) <= BACKTRACE_TOL)
+        if not np.any(miss):
+            return seeds
+        xs, lo_full, hi_full = xs[miss], lo_full[miss], hi_full[miss]
+        lo = np.clip(seeds[miss] - 1e-7, lo_full, hi_full)
+        hi = np.clip(seeds[miss] + 1e-7, lo_full, hi_full)
+
         sign = 1.0 if increasing else -1.0
         n = len(xs)
         g = propagate(np.concatenate([lo, hi])) - np.concatenate([xs, xs])
@@ -345,8 +369,9 @@ class CharacteristicEngine:
                 hi, g_hi = np.where(to_hi, mid, hi), np.where(to_hi, g, g_hi)
         if np.any(open_mask):
             raise CharacteristicsError(f"{what} bisection did not reach tolerance")
-        return CharacteristicEngine._secant_polish(
+        seeds[miss] = CharacteristicEngine._secant_polish(
             result, g_res, lo, g_lo, hi, g_hi, xs, propagate)
+        return seeds
 
     @staticmethod
     def _secant_polish(result, g_res, lo, g_lo, hi, g_hi, xs, propagate):

@@ -10,15 +10,18 @@ points fed by the boundary use the matching formula with b(t0) in place of
 phi(x0) and integrals starting at the emission time t0.  All line integrals
 are composite trapezoid sums along the stored RK4 path samples.
 
-``solve_point`` evaluates the formulas literally (bisection backtraces from
-the characteristics engine, certified to 1e-10).  ``solve_field`` evaluates
-the same formulas along a fan of characteristics - one per initial grid
-node, one per boundary grid time, plus every declared jump point - and
-lands on grid nodes by piecewise-linear interpolation within the smooth
-region between adjacent jump loci, never across one.  Linear interpolation
-is deliberate: it is linear in the member values, so superposition splits
-recombine exactly, and it cannot overshoot, so solution envelopes survive
-the transfer to the grid.  Both routes share one RK4 stepper and one
+``solve_point`` evaluates the formulas literally.  The problem's kept
+characteristics engine backtraces the query point to its foot or emission
+time: a reverse RK4 seed, returned once its memoized forward flow lands
+within 1e-10 of the point and bisected only otherwise; the integrals then
+run along that same stored path.  ``solve_field`` evaluates the same
+formulas along a fan of characteristics - one per initial grid node, one
+per boundary grid time, plus every declared jump point - and lands on grid
+nodes by piecewise-linear interpolation within the smooth region between
+adjacent jump loci, never across one.  Linear interpolation is deliberate:
+it is linear in the member values, so superposition splits recombine
+exactly, and it cannot overshoot, so solution envelopes survive the
+transfer to the grid.  Both routes share one RK4 stepper and one
 quadrature rule; the fan costs O(rows x members) instead of O(nodes) root
 finds, which keeps full space-time fields tractable.
 
@@ -55,16 +58,35 @@ __all__ = [
 
 @dataclass
 class TransportProblem:
-    """Data for one transport run: initial phi, boundary b, speed v, and (a, f)."""
+    """Data for one transport run: initial phi, boundary b, speed v, and (a, f).
+
+    The problem keeps the characteristic engine of its latest (v, grid)
+    pair for ``solve_point``, so the separatrix and the running minimum of
+    v are integrated once and serve every query on that grid.  The
+    engine's memoized flows and backtraces are dropped at each query, so a
+    long-lived problem holds only the last query's paths.  Asking for
+    another grid, or replacing ``v``, starts a new engine.
+    """
 
     phi: InitialProfile
     b: BoundarySignal
     v: VelocityField
     coeffs: TransportCoefficients = field(default_factory=TransportCoefficients)
+    _engine: Optional[CharacteristicEngine] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def validate(self, grid: Grid):
         self.v.validate_positive(grid)
         self.b.validate_finite(grid.times)
+
+    def engine_for(self, grid: Grid) -> CharacteristicEngine:
+        """The engine of (v, grid), kept for the latest pair, paths forgotten."""
+        kept = self._engine
+        if kept is None or kept.v is not self.v or kept.grid != grid:
+            self._engine = CharacteristicEngine(self.v, grid)
+        else:
+            kept.forget_paths()
+        return self._engine
 
 
 @dataclass
@@ -114,7 +136,7 @@ def _integrals_along(path_s, path_x, t_offset, problem):
 def solve_point(problem: TransportProblem, grid: Grid, t: float, x: float,
                 engine: Optional[CharacteristicEngine] = None) -> float:
     """w(t, x) by the explicit characteristic formulas (certified backtraces)."""
-    engine = engine or CharacteristicEngine(problem.v, grid)
+    engine = engine or problem.engine_for(grid)
     r0 = engine.separatrix().at(t)
     if x > r0:
         x0 = engine.backtrace_x0(t, x)
@@ -200,6 +222,15 @@ class _Fan:
         t1r = t0r + h
         act = slice(self.first, None)
         self.X[act] = self.engine._rk4(t0r, self.X[act], h)
+        # inject the boundary member for row k+1 at the wall before the row
+        # evaluations of a and f, which then cover it
+        idx = self.K - (k + 1)
+        self.first = idx
+        self.X[idx] = 0.0
+        self.A[idx] = 0.0
+        self.Fq[idx] = 0.0
+        if self.include_b:
+            self.w0[idx] = float(self.problem.b(t1r))
         a_new = self._field_row(self.problem.coeffs.a, t1r)
         f_new = self._field_row(self.problem.coeffs.f, t1r)
         a_old = self.A[act]
@@ -209,16 +240,6 @@ class _Fan:
                 np.exp(-a_old) * self._f_cur[act]
                 + np.exp(-(a_old + a_step)) * f_new[act])
         self.A[act] += a_step
-        # inject the boundary member for row k+1 at the wall
-        idx = self.K - (k + 1)
-        self.first = idx
-        self.X[idx] = 0.0
-        self.A[idx] = 0.0
-        self.Fq[idx] = 0.0
-        if self.include_b:
-            self.w0[idx] = float(self.problem.b(t1r))
-        a_new[idx] = float(self.problem.coeffs.a(t1r, 0.0))
-        f_new[idx] = float(self.problem.coeffs.f(t1r, 0.0))
         self._a_cur = a_new
         self._f_cur = f_new
 

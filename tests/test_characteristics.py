@@ -178,3 +178,65 @@ def test_backtrace_round_trip(engine, t, x):
         forward = engine._propagate_from_boundary(t, np.array([t0]))[0]
         assert abs(forward - x) <= 1e-8
         assert 0.0 <= t0 <= t
+
+
+# --- seed certification --------------------------------------------------------
+
+SMOOTH_SPEED = "1 + 0.25*sin(pi*x)"
+
+
+def _count_propagations(monkeypatch):
+    calls = []
+    for name in ("_propagate_from_zero_time", "_propagate_from_boundary"):
+        original = getattr(CharacteristicEngine, name)
+
+        def counted(self, *args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(CharacteristicEngine, name, counted)
+    return calls
+
+
+def test_smooth_query_returns_its_seed_without_bisection(monkeypatch):
+    engine = CharacteristicEngine(VelocityField.from_expression(SMOOTH_SPEED), GRID)
+    t = 0.6
+    r0 = engine.separatrix().at(t)
+    x_init, x_bnd = 0.5 * (r0 + 1.0), 0.5 * r0
+    seed_x0 = engine._reverse_sweep(t, x_init)
+    lower = max(0.0, t - x_bnd / engine.vmin_up_to(t))
+    seed_t0 = engine._reverse_seed_t0(t, x_bnd, lower)
+    calls = _count_propagations(monkeypatch)
+    assert engine.backtrace_x0(t, x_init) == seed_x0
+    assert engine.backtrace_t0(t, x_bnd) == seed_t0
+    assert calls == []
+
+
+def test_seed_off_tolerance_is_bisected_to_certified_root(monkeypatch):
+    engine = CharacteristicEngine(VelocityField.from_expression(SMOOTH_SPEED), GRID)
+    sweep, seed_t0 = engine._reverse_sweep, engine._reverse_seed_t0
+    monkeypatch.setattr(engine, "_reverse_sweep", lambda t, x: sweep(t, x) + 1e-6)
+    monkeypatch.setattr(engine, "_reverse_seed_t0",
+                        lambda t, x, lower: seed_t0(t, x, lower) - 1e-6)
+    calls = _count_propagations(monkeypatch)
+    t = 0.6
+    r0 = engine.separatrix().at(t)
+    x_init, x_bnd = 0.5 * (r0 + 1.0), 0.5 * r0
+
+    x0 = engine.backtrace_x0(t, x_init)
+    assert abs(engine.flow(0.0, x0, t).end_x - x_init) <= 1e-10
+    assert abs(engine._propagate_from_zero_time(t, np.array([x0]))[0] - x_init) <= 1e-10
+    t0 = engine.backtrace_t0(t, x_bnd)
+    assert abs(engine.flow(t0, 0.0, t).end_x - x_bnd) <= 1e-10
+    assert abs(engine._propagate_from_boundary(t, np.array([t0]))[0] - x_bnd) <= 1e-10
+    assert "_propagate_from_zero_time" in calls and "_propagate_from_boundary" in calls
+
+
+def test_seed_past_the_wall_is_bisected():
+    # x up to 1 + 1e-12 is accepted; at a tiny t the reverse seed stays past
+    # x = 1, where no flow can start, so it must go to the bisection instead
+    engine = CharacteristicEngine(VelocityField.from_expression(SMOOTH_SPEED), GRID)
+    t, x = 1e-13, 1.0 + 1e-12
+    assert engine._reverse_sweep(t, x) > 1.0
+    x0 = engine.backtrace_x0(t, x)
+    assert abs(engine._propagate_from_zero_time(t, np.array([x0]))[0] - x) <= 1e-10

@@ -165,3 +165,57 @@ def test_vanishing_speed_rejected():
     prob = problem_of(v="x")
     with pytest.raises(FieldValidationError):
         solve_field(prob, grid)
+
+
+# --- the engine kept by a problem --------------------------------------------
+
+def test_solve_point_integrates_the_separatrix_once_per_problem(monkeypatch):
+    grid = Grid(101, 1e-3, 1.0)
+    prob = problem_of(v="1 + x", phi="sin(2*x)", b="cos(t)")
+    separatrix_flows = []
+    flow = CharacteristicEngine.flow
+
+    def counted(self, t0, x0, until):
+        if (t0, x0, until) == (0.0, 0.0, grid.horizon):
+            separatrix_flows.append(self)
+        return flow(self, t0, x0, until)
+
+    monkeypatch.setattr(CharacteristicEngine, "flow", counted)
+    for t, x in ((0.4, 0.9), (1.0, 0.5), (0.7, 0.95), (0.3, 0.1)):
+        solve_point(prob, grid, t, x)
+    assert len(separatrix_flows) == 1
+
+
+def test_problem_engine_follows_grid_and_velocity():
+    grid = Grid(101, 1e-3, 1.0)
+    prob = problem_of(v="1", phi="x")
+    engine = prob.engine_for(grid)
+    assert prob.engine_for(Grid(101, 1e-3, 1.0)) is engine
+    other = prob.engine_for(Grid(51, 1e-3, 1.0))
+    assert other is not engine and other.grid == Grid(51, 1e-3, 1.0)
+    assert solve_point(prob, grid, 0.2, 0.7) == pytest.approx(0.5, abs=1e-12)
+    prob.v = VelocityField.constant(2.0)
+    assert prob.engine_for(grid).v is prob.v
+    # a stale engine would still carry the old speed
+    assert solve_point(prob, grid, 0.2, 0.7) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_solve_point_explicit_engine_matches_kept_engine():
+    grid = Grid(151, 1e-3, 1.0)
+    queries = ((0.5, 0.2), (0.75, 0.4), (0.2, 0.6), (0.5, 0.9))
+    kept = problem_of(**SMOOTH)
+    explicit = problem_of(**SMOOTH)
+    engine = CharacteristicEngine(explicit.v, grid)
+    for t, x in queries:
+        assert solve_point(kept, grid, t, x) == solve_point(explicit, grid, t, x, engine)
+
+
+def test_distinct_queries_leave_a_bounded_number_of_stored_paths():
+    grid = Grid(101, 1e-3, 1.0)
+    prob = problem_of(v="1 + x", phi="sin(2*x)", b="cos(t)")
+    for k in range(40):
+        solve_point(prob, grid, 0.2 + 0.02 * k, 0.05 + 0.02 * k)
+    engine = prob._engine
+    # the last query's flow and backtrace; the separatrix is kept apart
+    assert len(engine._flow_cache) + len(engine._x0_cache) + len(engine._t0_cache) <= 2
+    assert engine._separatrix is not None
