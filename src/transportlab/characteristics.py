@@ -2,16 +2,19 @@
 
 The flow X(s; t0, x0) solves dX/ds = v(t0 + s, X) with X(0) = x0, integrated
 by classical RK4 with the grid's time step (sub-stepped at the x = 1 exit so
-the crossing sample lands on the wall to 1e-10).  Inverse queries - which
-initial point or boundary instant feeds a given space-time node - start
-from a reverse RK4 sweep out of the query point.  The seed is checked
-first: its memoized forward flow is the curve a caller integrates along
-next, and a seed whose flow ends within the 1e-10 tolerance of the query is
-returned as it is, which on smooth speeds is nearly every query.  Only the
-seeds that miss are bracketed and bisected to the 1e-10 residual, valid
+the crossing sample lands on the wall to 1e-10).  Every other propagation is
+one scalar march, the same RK4 stepping to a given time in either direction
+with no wall stop.  Inverse queries - which initial point or boundary
+instant feeds a given space-time node - start from a reverse RK4 seed out
+of the query point: the march back to time 0 for the foot, a sweep back to
+the wall x = 0 for the emission time.  The seed is checked first: its
+memoized forward flow is the curve a caller integrates along next, and a
+seed whose flow ends within the 1e-10 tolerance of the query is returned as
+it is, which on smooth speeds is nearly every query.  Only the seeds that
+miss are bracketed and bisected on the march to the 1e-10 residual, valid
 because the flow map is strictly increasing in x0 and the boundary emission
-map is strictly decreasing in the emission time.  Flows, inverses, and the
-separatrix are memoized per engine, i.e. per (velocity, grid) pair.
+map is strictly decreasing in the emission time.  Flows and the separatrix
+are memoized per engine, i.e. per (velocity, grid) pair; inverses are not.
 
 Evaluation of v is clamped to x in [0, 1] so that intermediate RK4 stages
 and bracket endpoints slightly outside the strip remain well-defined; this
@@ -94,8 +97,6 @@ class CharacteristicEngine:
         self.grid = grid
         self.dt = grid.dt
         self._flow_cache: dict = {}
-        self._x0_cache: dict = {}
-        self._t0_cache: dict = {}
         self._separatrix: Optional[Separatrix] = None
         self._vmin_running: Optional[np.ndarray] = None
 
@@ -169,10 +170,8 @@ class CharacteristicEngine:
         raise CharacteristicsError("exit sub-stepping did not converge")
 
     def forget_paths(self) -> None:
-        """Drop the memoized flows and inverses; keep the separatrix and min v."""
+        """Drop the memoized flows; keep the separatrix and min v."""
         self._flow_cache.clear()
-        self._x0_cache.clear()
-        self._t0_cache.clear()
 
     # -- separatrix and loci ----------------------------------------------
 
@@ -208,189 +207,113 @@ class CharacteristicEngine:
                   max(0, int(np.ceil(t / self.dt - 1e-12))))
         return float(self._vmin_running[idx])
 
-    # -- vectorized propagation helpers ------------------------------------
+    # -- the scalar march ---------------------------------------------------
 
-    def _propagate_from_zero_time(self, t: float, x0s: np.ndarray) -> np.ndarray:
-        """X(t; 0, x0) for an array of starting points (clamped speed)."""
-        x = np.array(x0s, dtype=float)
-        s = 0.0
-        while s < t - 1e-15:
-            h = min(self.dt, t - s)
-            x = self._rk4(s, x, h)
-            s += h
-        return x
-
-    def _propagate_from_boundary(self, t: float, t0s: np.ndarray) -> np.ndarray:
-        """X(t - t0; t0, 0) for an array of emission times t0 <= t."""
-        t0s = np.asarray(t0s, dtype=float)
-        x = np.zeros_like(t0s)
-        s = t0s.copy()
-        for _ in range(self.grid.nt + len(t0s) + 4):
-            h = np.minimum(self.dt, t - s)
-            active = h > 1e-15
-            if not np.any(active):
-                break
-            ha = np.where(active, h, 0.0)
-            x = self._rk4(s, x, ha)
-            s = s + ha
-        return x
-
-    def _reverse_sweep(self, t: float, x: float) -> float:
-        """Backward RK4 from (t, x) to time 0; seed for the x0 inverse."""
-        pos = float(x)
-        s = float(t)
-        while s > 1e-15:
-            h = min(self.dt, s)
-            pos = float(self._rk4(s, pos, -h))
-            s -= h
+    def _march(self, t: float, x: float, until: float) -> float:
+        """RK4 from (t, x) to absolute time ``until``, either way, no wall stop."""
+        sign = 1.0 if until >= t else -1.0
+        s, pos = float(t), float(x)
+        left = sign * (until - s)
+        while left > 1e-15:
+            h = min(self.dt, left)
+            pos = float(self._rk4(s, pos, sign * h))
+            s += sign * h
+            left = sign * (until - s)
         return pos
 
     # -- inverse queries ----------------------------------------------------
 
     def backtrace_x0(self, t: float, x: float) -> float:
-        key = (float(t), float(x))
-        hit = self._x0_cache.get(key)
-        if hit is not None:
-            return hit
-        out = float(self.backtrace_x0_batch(t, np.array([x]))[0])
-        self._x0_cache[key] = out
-        return out
-
-    def backtrace_x0_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Feet of the characteristics through (t, x) for initial-data points."""
-        xs = np.asarray(xs, dtype=float)
+        """Foot of the characteristic through (t, x) on the initial-data side."""
         r0 = self.separatrix().at(t)
-        if np.any(xs <= r0 - 1e-13) or np.any(xs <= 0.0) and t > 0:
+        if x <= r0 - 1e-13 or x <= 0.0 and t > 0:
             raise CharacteristicsError(
                 "point lies on the boundary-determined side (x <= separatrix)")
-        if np.any(xs > 1.0 + 1e-12):
+        if x > 1.0 + 1e-12:
             raise CharacteristicsError("x must lie in (r0(t), 1]")
         if t == 0.0:
-            return xs.copy()
-
-        seeds = np.array([self._reverse_sweep(t, float(xq)) for xq in xs])
+            return float(x)
         # a flow starts inside the strip only: a seed past x = 1 is a miss
-        return self._invert(seeds, xs, 0.0, xs,
-                            lambda q: self.flow(0.0, q, t).end_x if q <= 1.0 else np.inf,
-                            lambda q: self._propagate_from_zero_time(t, q),
-                            increasing=True, what="x0")
+        return float(self._invert(
+            self._march(t, x, 0.0), x, 0.0, x,
+            lambda q: self.flow(0.0, q, t).end_x if q <= 1.0 else np.inf,
+            lambda q: self._march(0.0, q, t), increasing=True, what="x0"))
+
+    def backtrace_x0_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.backtrace_x0(t, x) for x in np.asarray(xs, dtype=float)])
 
     def backtrace_t0(self, t: float, x: float) -> float:
-        key = (float(t), float(x))
-        hit = self._t0_cache.get(key)
-        if hit is not None:
-            return hit
-        out = float(self.backtrace_t0_batch(t, np.array([x]))[0])
-        self._t0_cache[key] = out
-        return out
-
-    def backtrace_t0_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Boundary emission times for points on the boundary-determined side."""
-        xs = np.asarray(xs, dtype=float)
+        """Boundary emission time of the point (t, x) on the boundary-determined side."""
         r0 = self.separatrix().at(t)
-        if np.any(xs > r0 + 1e-13):
+        if x > r0 + 1e-13:
             raise CharacteristicsError(
                 "point lies on the initial-data side (x > separatrix)")
-        if np.any(xs < 0.0):
+        if x < 0.0:
             raise CharacteristicsError("x must lie in [0, r0(t)]")
-
-        vmin = self.vmin_up_to(t)
-        lower = max(0.0, t - float(np.max(xs)) / vmin)
-        lowers = np.maximum(0.0, t - xs / vmin)
-
-        seeds = np.array([self._reverse_seed_t0(t, float(xq), lower) for xq in xs])
+        lower = max(0.0, t - x / self.vmin_up_to(t))
         # g(t0) = X(t - t0; t0, 0) - x is decreasing in t0
-        return self._invert(seeds, xs, lowers, t,
-                            lambda q: self.flow(q, 0.0, t).end_x,
-                            lambda q: self._propagate_from_boundary(t, q),
-                            increasing=False, what="t0")
+        return float(self._invert(
+            self._reverse_seed_t0(t, x, lower), x, lower, t,
+            lambda q: self.flow(q, 0.0, t).end_x,
+            lambda q: self._march(q, 0.0, t), increasing=False, what="t0"))
+
+    def backtrace_t0_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.backtrace_t0(t, x) for x in np.asarray(xs, dtype=float)])
 
     @staticmethod
-    def _invert(seeds, xs, lo_full, hi_full, flow_end, propagate, increasing, what):
-        """Solve propagate(q) = xs for q, elementwise, starting from seeds.
+    def _invert(seed, x, lo_full, hi_full, flow_end, propagate, increasing, what):
+        """Solve propagate(q) = x for q in [lo_full, hi_full], from a seed.
 
-        q lies in [lo_full, hi_full]; g(q) = propagate(q) - xs is increasing
-        or decreasing in q as stated.  A seed inside those bounds whose
-        forward flow ends within BACKTRACE_TOL of its target is returned as
-        it is: flow_end(q) reads that end from the memoized flow, so the
-        caller's next integration along the curve is a cache hit.  The
-        misses are bisected in the bracket seed -+ 1e-7; where an endpoint
-        lies on the wrong side of the root it falls back to lo_full or
-        hi_full.  Bracket endpoints already within BACKTRACE_TOL are
-        accepted as they are.  Residuals are carried along with the
-        bracket, so the closing secant step costs one propagation.
+        g(q) = propagate(q) - x is increasing or decreasing in q as stated.
+        A seed inside the bounds whose forward flow ends within
+        BACKTRACE_TOL of x is returned as it is: flow_end(q) reads that end
+        from the memoized flow, so the caller's next integration along the
+        curve is a cache hit.  A miss is bisected in the bracket seed -+
+        1e-7; an endpoint on the wrong side of the root falls back to
+        lo_full or hi_full, and an endpoint already within BACKTRACE_TOL is
+        accepted as it is.  The bisection exits on a small residual, which
+        still leaves the root off by residual / |g'| where the slope is
+        below one (slow characteristics, compressive flows), so one secant
+        step through the final bracket, exact for affine g, closes it.
         """
-        lo_full = np.broadcast_to(lo_full, xs.shape)
-        hi_full = np.broadcast_to(hi_full, xs.shape)
-        g_seed = np.array([flow_end(q) - x if lo <= q <= hi else np.inf
-                           for q, x, lo, hi in zip(seeds, xs, lo_full, hi_full)])
-        miss = ~(np.abs(g_seed) <= BACKTRACE_TOL)
-        if not np.any(miss):
-            return seeds
-        xs, lo_full, hi_full = xs[miss], lo_full[miss], hi_full[miss]
-        lo = np.clip(seeds[miss] - 1e-7, lo_full, hi_full)
-        hi = np.clip(seeds[miss] + 1e-7, lo_full, hi_full)
-
+        g_seed = flow_end(seed) - x if lo_full <= seed <= hi_full else np.inf
+        if abs(g_seed) <= BACKTRACE_TOL:
+            return seed
         sign = 1.0 if increasing else -1.0
-        n = len(xs)
-        g = propagate(np.concatenate([lo, hi])) - np.concatenate([xs, xs])
-        g_lo, g_hi = g[:n], g[n:]
-        lo_miss = sign * g_lo > 0.0
-        hi_miss = sign * g_hi < 0.0
-        if np.any(lo_miss) or np.any(hi_miss):
-            lo = np.where(lo_miss, lo_full, lo)
-            hi = np.where(hi_miss, hi_full, hi)
-            k = np.count_nonzero(lo_miss)
-            g = propagate(np.concatenate([lo[lo_miss], hi[hi_miss]])) \
-                - np.concatenate([xs[lo_miss], xs[hi_miss]])
-            g_lo[lo_miss] = g[:k]
-            g_hi[hi_miss] = g[k:]
+        lo = min(max(seed - 1e-7, lo_full), hi_full)
+        hi = min(max(seed + 1e-7, lo_full), hi_full)
+        g_lo = propagate(lo) - x
+        g_hi = propagate(hi) - x
+        if sign * g_lo > 0.0:
+            lo = lo_full
+            g_lo = propagate(lo) - x
+        if sign * g_hi < 0.0:
+            hi = hi_full
+            g_hi = propagate(hi) - x
 
-        result = np.full_like(xs, np.nan)
-        g_res = np.full_like(xs, np.nan)
-        open_mask = np.ones(xs.shape, dtype=bool)
-        for end, g_end in ((lo, g_lo), (hi, g_hi)):
-            done = (np.abs(g_end) <= BACKTRACE_TOL) & open_mask
-            result[done] = end[done]
-            g_res[done] = g_end[done]
-            open_mask &= ~done
-        for _ in range(120):
-            if not np.any(open_mask):
-                break
-            mid = 0.5 * (lo + hi)
-            g = propagate(mid) - xs
-            done = (np.abs(g) <= BACKTRACE_TOL) & open_mask
-            result[done] = mid[done]
-            g_res[done] = g[done]
-            open_mask &= ~done
-            if np.any(open_mask):
-                to_hi = g > 0.0 if increasing else g <= 0.0
-                lo, g_lo = np.where(to_hi, lo, mid), np.where(to_hi, g_lo, g)
-                hi, g_hi = np.where(to_hi, mid, hi), np.where(to_hi, g, g_hi)
-        if np.any(open_mask):
-            raise CharacteristicsError(f"{what} bisection did not reach tolerance")
-        seeds[miss] = CharacteristicEngine._secant_polish(
-            result, g_res, lo, g_lo, hi, g_hi, xs, propagate)
-        return seeds
+        if abs(g_lo) <= BACKTRACE_TOL:
+            result, g_res = lo, g_lo
+        elif abs(g_hi) <= BACKTRACE_TOL:
+            result, g_res = hi, g_hi
+        else:
+            for _ in range(120):
+                mid = 0.5 * (lo + hi)
+                g = propagate(mid) - x
+                if abs(g) <= BACKTRACE_TOL:
+                    result, g_res = mid, g
+                    break
+                if g > 0.0 if increasing else g <= 0.0:
+                    hi, g_hi = mid, g
+                else:
+                    lo, g_lo = mid, g
+            else:
+                raise CharacteristicsError(f"{what} bisection did not reach tolerance")
 
-    @staticmethod
-    def _secant_polish(result, g_res, lo, g_lo, hi, g_hi, xs, propagate):
-        """One secant step through the final bracket endpoints.
-
-        The bisection exits on a small propagation residual, which still
-        leaves the root off by residual / |g'| when the local slope is below
-        one (slow characteristics, compressive flows).  A single secant
-        update is exact for affine g; the residuals of the bracket and of
-        the bisection result are already known, so it costs one batch
-        propagation.
-        """
         denom = g_hi - g_lo
-        safe = np.abs(denom) > 0.0
-        sec = np.where(safe, lo - g_lo * (hi - lo) / np.where(safe, denom, 1.0),
-                       result)
-        sec = np.clip(sec, np.minimum(lo, hi), np.maximum(lo, hi))
-        g_sec = np.abs(propagate(sec) - xs)
-        return np.where(g_sec <= np.abs(g_res), sec, result)
+        if not abs(denom) > 0.0:
+            return result
+        sec = min(max(lo - g_lo * (hi - lo) / denom, min(lo, hi)), max(lo, hi))
+        return sec if abs(propagate(sec) - x) <= abs(g_res) else result
 
     def _reverse_seed_t0(self, t: float, x: float, lower: float) -> float:
         """Backward sweep from (t, x) until the wall x = 0; seed for t0."""

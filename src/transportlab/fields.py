@@ -1,9 +1,9 @@
 """Problem data containers: velocity fields, boundary/initial data, grids.
 
 Scenario inputs arrive as parsed expressions; everything downstream consumes
-them through the thin wrappers here, which add finite-difference derivatives
-(central step ``fd_step``, default 1e-6) and validation.  Corner
-compatibility checks use one-sided differences with the same step.
+them through the thin wrappers here, which add validation and, for fields
+of (t, x), a central-difference ``ddx`` (step ``fd_step``, default 1e-6).
+Corner compatibility checks use one-sided differences with the same step.
 """
 
 from __future__ import annotations
@@ -69,10 +69,6 @@ class ScalarSignal:
     def __call__(self, t):
         return self._fn(t)
 
-    def derivative(self, t):
-        h = self.fd_step
-        return (self._fn(t + h) - self._fn(t - h)) / (2 * h)
-
 
 class ScalarProfile:
     """A function of position on [0, 1]."""
@@ -97,10 +93,6 @@ class ScalarProfile:
 
     def __call__(self, x):
         return self._fn(x)
-
-    def derivative(self, x):
-        h = self.fd_step
-        return (self._fn(x + h) - self._fn(x - h)) / (2 * h)
 
 
 def _filled(v: float) -> Callable:

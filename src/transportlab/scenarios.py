@@ -32,7 +32,7 @@ from .continuity import solve_continuity
 from .expr import ExpressionError, parse
 from .fields import (BoundarySignal, FieldValidationError, Grid,
                      InitialProfile, SpaceTimeField, TransportCoefficients,
-                     VelocityField)
+                     VelocityField, _one_sided)
 from .manufacturing import (ClosedLoopRun, ManufacturingError,
                             ProductionScenario, manufacturing_run,
                             simulate_closed_loop)
@@ -223,8 +223,8 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
         estimates = data.get("estimates", ())
 
     for p in data.get("p", ()):
-        if not p >= 1:
-            errors.append(f"p values must be >= 1 or inf; got {p!r}")
+        if not p > 1:
+            errors.append(f"p values must exceed 1 or be inf; got {p!r}")
     for mu in data.get("mu", ()):
         if not math.isfinite(mu):
             errors.append(f"mu values must be finite; got {mu!r}")
@@ -347,10 +347,6 @@ def _random_velocity(rng) -> str:
             f" + {a2!r}*cos({k2}*pi*x)*sin({w2!r}*t)")
 
 
-def _one_sided(fn, at: float, h: float = 1e-6) -> float:
-    return (float(fn(at + h)) - float(fn(at))) / h
-
-
 def random_continuity_scenario(rng, nx: int = 400, dt: float = 2.5e-3,
                                horizon: float = 1.5,
                                name: str = "random-continuity") -> Scenario:
@@ -403,7 +399,7 @@ def random_transport_scenario(rng, nx: int = 400, dt: float = 2.5e-3,
     af = SpaceTimeField.from_expression(a_expr)
     ff = SpaceTimeField.from_expression(f_expr)
     phi0 = float(phi(0.0))
-    dphi = _one_sided(phi, 0.0)
+    dphi = _one_sided(phi, 0.0, 1e-6)
     sb = float(af(0.0, 0.0)) * phi0 + float(ff(0.0, 0.0)) \
         - float(v(0.0, 0.0)) * dphi
     beta = rng.uniform(0.0, 0.15)

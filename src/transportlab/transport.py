@@ -63,8 +63,8 @@ class TransportProblem:
     The problem keeps the characteristic engine of its latest (v, grid)
     pair for ``solve_point``, so the separatrix and the running minimum of
     v are integrated once and serve every query on that grid.  The
-    engine's memoized flows and backtraces are dropped at each query, so a
-    long-lived problem holds only the last query's paths.  Asking for
+    engine's memoized flows are dropped at each query, so a long-lived
+    problem holds only the last query's paths.  Asking for
     another grid, or replacing ``v``, starts a new engine.
     """
 

@@ -65,7 +65,7 @@ def test_backtrace_x0_affine(affine_engine):
     x0 = affine_engine.backtrace_x0(0.2, 0.6)
     assert x0 == pytest.approx(X0_AFFINE, abs=1e-8)
     # certified residual: pushing the foot forward recovers the query point
-    again = affine_engine._propagate_from_zero_time(0.2, np.array([x0]))[0]
+    again = affine_engine._march(0.0, x0, 0.2)
     assert abs(again - 0.6) <= 1e-10
 
 
@@ -91,7 +91,7 @@ def test_backtrace_t0_constant_speed(unit_engine):
 def test_backtrace_t0_affine(affine_engine):
     t0 = affine_engine.backtrace_t0(1.0, 0.5)
     assert t0 == pytest.approx(T0_AFFINE, abs=1e-8)
-    again = affine_engine._propagate_from_boundary(1.0, np.array([t0]))[0]
+    again = affine_engine._march(t0, 0.0, 1.0)
     assert abs(again - 0.5) <= 1e-10
 
 
@@ -170,12 +170,12 @@ def test_backtrace_round_trip(engine, t, x):
     r0 = engine.separatrix().at(t)
     if x > r0 + 1e-6:
         x0 = engine.backtrace_x0(t, x)
-        forward = engine._propagate_from_zero_time(t, np.array([x0]))[0]
+        forward = engine._march(0.0, x0, t)
         assert abs(forward - x) <= 1e-8
         assert 0.0 <= x0 <= x
     elif x < r0 - 1e-6:
         t0 = engine.backtrace_t0(t, x)
-        forward = engine._propagate_from_boundary(t, np.array([t0]))[0]
+        forward = engine._march(t0, 0.0, t)
         assert abs(forward - x) <= 1e-8
         assert 0.0 <= t0 <= t
 
@@ -185,17 +185,22 @@ def test_backtrace_round_trip(engine, t, x):
 SMOOTH_SPEED = "1 + 0.25*sin(pi*x)"
 
 
-def _count_propagations(monkeypatch):
+def _spy_marches(monkeypatch, engine, seed_shift=0.0):
+    """Record the (from, to) times of each march; shift the x0 seeds."""
     calls = []
-    for name in ("_propagate_from_zero_time", "_propagate_from_boundary"):
-        original = getattr(CharacteristicEngine, name)
+    march = engine._march
 
-        def counted(self, *args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(self, *args)
+    def spied(t, x, until):
+        calls.append((t, until))
+        seed = until == 0.0 and t > 0.0
+        return march(t, x, until) + (seed_shift if seed else 0.0)
 
-        monkeypatch.setattr(CharacteristicEngine, name, counted)
+    monkeypatch.setattr(engine, "_march", spied)
     return calls
+
+
+def _forward(calls):
+    return [c for c in calls if c[1] > c[0]]
 
 
 def test_smooth_query_returns_its_seed_without_bisection(monkeypatch):
@@ -203,40 +208,44 @@ def test_smooth_query_returns_its_seed_without_bisection(monkeypatch):
     t = 0.6
     r0 = engine.separatrix().at(t)
     x_init, x_bnd = 0.5 * (r0 + 1.0), 0.5 * r0
-    seed_x0 = engine._reverse_sweep(t, x_init)
+    seed_x0 = engine._march(t, x_init, 0.0)
     lower = max(0.0, t - x_bnd / engine.vmin_up_to(t))
     seed_t0 = engine._reverse_seed_t0(t, x_bnd, lower)
-    calls = _count_propagations(monkeypatch)
+    calls = _spy_marches(monkeypatch, engine)
     assert engine.backtrace_x0(t, x_init) == seed_x0
     assert engine.backtrace_t0(t, x_bnd) == seed_t0
-    assert calls == []
+    assert calls == [(t, 0.0)]  # the x0 seed, and no forward march
 
 
 def test_seed_off_tolerance_is_bisected_to_certified_root(monkeypatch):
     engine = CharacteristicEngine(VelocityField.from_expression(SMOOTH_SPEED), GRID)
-    sweep, seed_t0 = engine._reverse_sweep, engine._reverse_seed_t0
-    monkeypatch.setattr(engine, "_reverse_sweep", lambda t, x: sweep(t, x) + 1e-6)
+    march, seed_t0 = engine._march, engine._reverse_seed_t0
     monkeypatch.setattr(engine, "_reverse_seed_t0",
                         lambda t, x, lower: seed_t0(t, x, lower) - 1e-6)
-    calls = _count_propagations(monkeypatch)
+    calls = _spy_marches(monkeypatch, engine, seed_shift=1e-6)
     t = 0.6
     r0 = engine.separatrix().at(t)
     x_init, x_bnd = 0.5 * (r0 + 1.0), 0.5 * r0
 
     x0 = engine.backtrace_x0(t, x_init)
+    assert _forward(calls)
     assert abs(engine.flow(0.0, x0, t).end_x - x_init) <= 1e-10
-    assert abs(engine._propagate_from_zero_time(t, np.array([x0]))[0] - x_init) <= 1e-10
+    assert abs(march(0.0, x0, t) - x_init) <= 1e-10
+    calls.clear()
     t0 = engine.backtrace_t0(t, x_bnd)
+    assert _forward(calls)
     assert abs(engine.flow(t0, 0.0, t).end_x - x_bnd) <= 1e-10
-    assert abs(engine._propagate_from_boundary(t, np.array([t0]))[0] - x_bnd) <= 1e-10
-    assert "_propagate_from_zero_time" in calls and "_propagate_from_boundary" in calls
+    assert abs(march(t0, 0.0, t) - x_bnd) <= 1e-10
 
 
-def test_seed_past_the_wall_is_bisected():
+def test_seed_past_the_wall_is_bisected(monkeypatch):
     # x up to 1 + 1e-12 is accepted; at a tiny t the reverse seed stays past
     # x = 1, where no flow can start, so it must go to the bisection instead
     engine = CharacteristicEngine(VelocityField.from_expression(SMOOTH_SPEED), GRID)
     t, x = 1e-13, 1.0 + 1e-12
-    assert engine._reverse_sweep(t, x) > 1.0
+    march = engine._march
+    assert march(t, x, 0.0) > 1.0
+    calls = _spy_marches(monkeypatch, engine)
     x0 = engine.backtrace_x0(t, x)
-    assert abs(engine._propagate_from_zero_time(t, np.array([x0]))[0] - x) <= 1e-10
+    assert _forward(calls)
+    assert abs(march(0.0, x0, t) - x) <= 1e-10

@@ -226,6 +226,16 @@ def test_bad_scenario_reports_json(tmp_path, capsys):
     assert any("missing grid keys" in m for m in report["messages"])
 
 
+def test_p_of_one_reports_json(tmp_path, capsys):
+    # the norms need p > 1: p = 1 must stop at validation, not in certify
+    path = write(tmp_path, "p1.txt", CONTINUITY_SRC.replace("p = 2, inf", "p = 1"))
+    rc = cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "ScenarioError"
+    assert any("p values must exceed 1" in m for m in report["messages"])
+
+
 def test_missing_file_reports_json(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 2

