@@ -2,7 +2,9 @@
 
 Each estimate bounds a state norm by a decaying overshoot term plus gain
 terms over fading-memory maxima of the inputs.  The certifier evaluates
-left- and right-hand sides at every grid time and reports margins; the
+left- and right-hand sides at every grid time and reports margins; norms
+and fading-memory maxima come from the array forms in ``norms``, and a
+term that overflows a float is an ``EstimateValidityError``.  The
 pass/fail slack couples a fixed 1e-6 with a measured discretization
 indicator (ten times the change in the LHS when the spatial grid is
 coarsened 2x), so exact statements about exact solutions are not failed
@@ -44,9 +46,12 @@ from .norms import (
     NormTrace,
     extremals,
     fading_memory_max,
+    fading_memory_maxima,
     heaviside_h,
     lp_log_norm,
+    lp_log_norm_rows,
     lp_norm,
+    lp_norm_rows,
 )
 from .transport import SolutionField, TransportProblem, solve_field
 
@@ -68,6 +73,7 @@ __all__ = [
 ]
 
 INF = math.inf
+_EXP_MAX = 709.782712893384  # ln of the largest float
 
 # sup-norm twin of each finite-p estimate and the trajectory kind it applies to
 _SUP_TWIN = {"E2.4": "E2.5", "E2.10": "E2.11", "E3.6": "E3.7"}
@@ -84,7 +90,7 @@ def canonical_estimate(estimate_id: str) -> str:
 
 
 class EstimateValidityError(ValueError):
-    """Raised when (p, mu) falls outside an estimate's admissible range."""
+    """Raised when (p, mu) is inadmissible for an estimate, or a term overflows."""
 
 
 def _pinv(p: Union[float, int]) -> float:
@@ -114,15 +120,16 @@ def boundary_coefficient(p, mu: float, a_max: float, vmin: float,
 
     factored=True is the form whose mu -> 0+ limit is 1 (the certified one);
     factored=False the variant without the vmin factor, kept for reporting.
-    For p = inf both reduce to exp((mu + a_max)/vmin).
+    For p = inf both reduce to exp((mu + a_max)/vmin); inf on overflow.
     """
     if not vmin > 0:
         raise ValueError("vmin must be positive")
     if p == INF:
-        return float(np.exp((mu + a_max) / vmin))
+        z = (mu + a_max) / vmin
+        return float(np.exp(z)) if z <= _EXP_MAX else INF
     p = float(p)
     z = p * (mu + a_max) / vmin
-    base = math.expm1(z) / z if z != 0.0 else 1.0
+    base = (math.expm1(z) if z <= _EXP_MAX else INF) / z if z != 0.0 else 1.0
     if not factored:
         base /= vmin
     if base < 0:
@@ -131,15 +138,40 @@ def boundary_coefficient(p, mu: float, a_max: float, vmin: float,
     return float(base ** (1.0 / p))
 
 
-def _rhs_core(p, mu, t, vmin, vmax, a_max, phi_norm, f_signal, b_signal):
+def _exp(x: float) -> float:
+    return math.exp(x) if x <= _EXP_MAX else INF
+
+
+def _total(estimate_id, p, mu, t, terms) -> float:
+    """A bound from its overshoot, source and boundary terms; it must be finite."""
+    total = terms[0] + terms[1] + terms[2]
+    if not math.isfinite(total):
+        names = ("overshoot term", "source gain term", "boundary gain term", "sum of the terms")
+        bad = next(n for n, x in zip(names, (*terms, total)) if not math.isfinite(x))
+        raise EstimateValidityError(
+            f"{estimate_id} at p={p}, mu={mu}, t={t}: the {bad} overflows")
+    return total
+
+
+def _rhs_core(estimate_id, p, mu, t, vmin, vmax, a_max, phi_norm, f_max, b_max):
+    """E2.x bound and boundary gain at t from the fading-memory maxima."""
     pinv = _pinv(p)
     h = float(heaviside_h(t - 1.0 / vmin))
-    term1 = math.exp((a_max + pinv * vmax) * t) * h * phi_norm if h else 0.0
-    f_max = fading_memory_max(f_signal.times, np.abs(f_signal.values), t, mu, vmin)
-    term2 = (1.0 / vmin) * math.exp(1.0 + (mu + pinv * vmax + a_max) / vmin) * f_max
-    b_max = fading_memory_max(b_signal.times, np.abs(b_signal.values), t, mu, vmin)
-    term3 = boundary_coefficient(p, mu, a_max, vmin) * b_max
-    return term1 + term2 + term3
+    term1 = _exp((a_max + pinv * vmax) * t) * h * phi_norm if h else 0.0
+    term2 = (1.0 / vmin) * _exp(1.0 + (mu + pinv * vmax + a_max) / vmin) * f_max
+    coef = boundary_coefficient(p, mu, a_max, vmin)
+    return _total(estimate_id, p, mu, t, (term1, term2, coef * b_max)), coef
+
+
+def _rhs_flush(estimate_id, p, mu, t, r, phi_norm, b_max):
+    """E3.6 bound and boundary gain at t from the fading-memory maximum."""
+    coef = boundary_coefficient(p, mu, 0.0, 1.0 / r)
+    term1 = float(heaviside_h(t - r)) * phi_norm
+    return _total(estimate_id, p, mu, t, (term1, 0.0, coef * b_max)), coef
+
+
+def _maxima_at(t, mu, vmin, *signals):
+    return [fading_memory_max(s.times, np.abs(s.values), t, mu, vmin) for s in signals]
 
 
 def rhs_transport(p, mu: float, t: float, ext: Extremals, phi_norm: float,
@@ -149,7 +181,8 @@ def rhs_transport(p, mu: float, t: float, ext: Extremals, phi_norm: float,
     if not mu_is_valid("E2.10", p, mu, vmin, vmax, a_max):
         raise EstimateValidityError(
             f"mu={mu} inadmissible for the transport estimate at t={t}")
-    return _rhs_core(p, mu, t, vmin, vmax, a_max, phi_norm, f_signal, b_signal)
+    return _rhs_core("E2.10", p, mu, t, vmin, vmax, a_max, phi_norm,
+                     *_maxima_at(t, mu, vmin, f_signal, b_signal))[0]
 
 
 def rhs_continuity(p, mu: float, t: float, ext: Extremals, phi_norm: float,
@@ -159,7 +192,8 @@ def rhs_continuity(p, mu: float, t: float, ext: Extremals, phi_norm: float,
     if not mu_is_valid("E2.4", p, mu, vmin, vmax):
         raise EstimateValidityError(
             f"mu={mu} inadmissible for the continuity estimate at t={t}")
-    return _rhs_core(p, mu, t, vmin, vmax, 0.0, phi_norm, slope_signal, b_signal)
+    return _rhs_core("E2.4", p, mu, t, vmin, vmax, 0.0, phi_norm,
+                     *_maxima_at(t, mu, vmin, slope_signal, b_signal))[0]
 
 
 def rhs_manufacturing(p, mu: float, t: float, r: float, phi_norm: float,
@@ -168,10 +202,8 @@ def rhs_manufacturing(p, mu: float, t: float, r: float, phi_norm: float,
     if not mu_is_valid("E3.6", p, mu, 1.0 / r):
         raise EstimateValidityError(
             f"mu={mu} inadmissible for the manufacturing estimate (needs mu > 0)")
-    term1 = float(heaviside_h(t - r)) * phi_norm
-    b_max = fading_memory_max(b_signal.times, np.abs(b_signal.values),
-                              t, mu, 1.0 / r)
-    return term1 + boundary_coefficient(p, mu, 0.0, 1.0 / r) * b_max
+    return _rhs_flush("E3.6", p, mu, t, r, phi_norm,
+                      *_maxima_at(t, mu, 1.0 / r, b_signal))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +237,11 @@ class TrajectoryRun:
     def lhs_trace(self, p, coarse: bool = False) -> np.ndarray:
         fld = self.state_coarse if coarse else self.state
         if fld.kind == "rho":
-            return np.array([lp_log_norm(row, self.rho_s, fld.xs, p)
-                             for row in fld.values])
-        return np.array([lp_norm(row, fld.xs, p) for row in fld.values])
-
-    def f_trace(self, p) -> NormTrace:
-        if self.f_rows is None:
-            vals = np.zeros(len(self.times))
-        else:
-            vals = np.array([lp_norm(row, self.grid.xs, p) for row in self.f_rows])
-        return NormTrace(times=self.times, values=vals, p=p, label="source norm")
+            return lp_log_norm_rows(fld.values, self.rho_s, fld.xs, p)
+        return lp_norm_rows(fld.values, fld.xs, p)
 
     def phi_norm(self, p) -> float:
         return lp_norm(self.phi_row, self.grid.xs, p)
-
-
-def _rows_of(fn, times, xs) -> np.ndarray:
-    ones = np.ones_like(xs)
-    return np.array([np.asarray(fn(float(t), xs), dtype=float) * ones for t in times])
 
 
 def transport_run(problem: TransportProblem, grid: Grid,
@@ -237,7 +256,8 @@ def transport_run(problem: TransportProblem, grid: Grid,
         b_trace=NormTrace(times=grid.times,
                           values=np.array([float(problem.b(t)) for t in grid.times]),
                           p=INF, label="boundary signal"),
-        f_rows=_rows_of(problem.coeffs.f, grid.times, grid.xs),
+        f_rows=np.array([np.asarray(problem.coeffs.f(float(t), grid.xs), dtype=float)
+                         * ones for t in grid.times]),
         phi_row=np.asarray(problem.phi(grid.xs), dtype=float) * ones,
     )
 
@@ -245,22 +265,12 @@ def transport_run(problem: TransportProblem, grid: Grid,
 def continuity_run(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
                    v: VelocityField, grid: Grid,
                    engine: Optional[CharacteristicEngine] = None) -> TrajectoryRun:
+    """The transport run of the log state; its source -dv/dx drives the gain."""
     problem = log_state_problem(rho_s, rho0, b, v)
     rho0.validate_positive(grid.xs)
-    engine = engine or CharacteristicEngine(v, grid)
-    fine = solve_field(problem, grid, engine)  # the log state directly
-    coarse = solve_field(problem, grid.coarsened_space())
-    ones = np.ones_like(grid.xs)
-    return TrajectoryRun(
-        kind="continuity", grid=grid, state=fine, state_coarse=coarse,
-        ext=extremals(v, grid),
-        b_trace=NormTrace(times=grid.times,
-                          values=np.array([float(b(t)) for t in grid.times]),
-                          p=INF, label="boundary signal"),
-        f_rows=_rows_of(v.ddx, grid.times, grid.xs),  # |dv/dx| drives the gain
-        phi_row=np.asarray(problem.phi(grid.xs), dtype=float) * ones,
-        rho_s=rho_s,
-    )
+    run = transport_run(problem, grid, engine)
+    run.kind, run.rho_s = "continuity", rho_s
+    return run
 
 
 @dataclass
@@ -307,46 +317,53 @@ def certify(run: TrajectoryRun, estimate_id: str, ps: Sequence,
         raise ValueError("manufacturing certification needs the run's terminal time")
 
     times = run.times
+    ts = times.tolist()
+    n = len(ts)
+    flush = base == "E3.6"
+    if flush:  # the speed floor 1/r, no slope or reaction terms
+        vmins, vmaxs, a_maxs = np.full(n, 1.0 / run.r), [0.0] * n, [0.0] * n
+    else:
+        rows = [run.ext.index_for(t) for t in ts]
+        vmins = run.ext.vmin[rows]
+        vmaxs, a_maxs = run.ext.dvdx_max[rows].tolist(), run.ext.a_max[rows].tolist()
+    vmin_list = vmins.tolist()
+
+    def maxima(values, mu):
+        # at times where mu is inadmissible they may overflow, and are not used
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fading_memory_maxima(times, np.abs(values), times, mu, vmins).tolist()
+
+    b_maxima = {mu: maxima(run.b_trace.values, mu) for mu in dict.fromkeys(mus)}
     certs = []
     for p in ps:
+        cert_id = _SUP_TWIN[base] if p == INF else base
         lhs = run.lhs_trace(p)
-        lhs_coarse = run.lhs_trace(p, coarse=True)
-        slack = 1e-6 + 10.0 * np.abs(lhs - lhs_coarse)
+        slack = 1e-6 + 10.0 * np.abs(lhs - run.lhs_trace(p, coarse=True))
         phi_n = run.phi_norm(p)
-        f_sig = run.f_trace(p) if base != "E3.6" else None
+        f_norms = None if flush else lp_norm_rows(run.f_rows, run.grid.xs, p)
         for mu in mus:
-            n = len(times)
-            rhs = np.full(n, math.nan)
+            rhs, coef_f, coef_u = (np.full(n, math.nan) for _ in range(3))
             valid = np.zeros(n, dtype=bool)
-            coef_f = np.full(n, math.nan)
-            coef_u = np.full(n, math.nan)
-            for k, t in enumerate(times):
-                t = float(t)
-                if base == "E3.6":
-                    ok = mu_is_valid(base, p, mu, 1.0 / run.r)
-                    if not ok:
-                        continue
-                    valid[k] = True
-                    rhs[k] = rhs_manufacturing(p, mu, t, run.r, phi_n, run.b_trace)
-                    coef_f[k] = boundary_coefficient(p, mu, 0.0, 1.0 / run.r)
-                    coef_u[k] = boundary_coefficient(p, mu, 0.0, 1.0 / run.r,
-                                                     factored=False)
-                    continue
-                vmin, vmax, a_max = run.ext.at(t)
-                a_eff = a_max if base == "E2.10" else 0.0
-                ok = mu_is_valid(base, p, mu, vmin, vmax, a_max)
-                if not ok:
+            b_max = b_maxima[mu]
+            f_max = None if flush else maxima(f_norms, mu)
+            for k, t in enumerate(ts):
+                vmin, vmax, a_max = vmin_list[k], vmaxs[k], a_maxs[k]
+                if not mu_is_valid(base, p, mu, vmin, vmax, a_max):
                     continue
                 valid[k] = True
-                rhs[k] = _rhs_core(p, mu, t, vmin, vmax, a_eff, phi_n,
-                                   f_sig, run.b_trace)
-                coef_f[k] = boundary_coefficient(p, mu, a_eff, vmin)
+                a_eff = a_max if base == "E2.10" else 0.0
+                if flush:
+                    rhs[k], coef_f[k] = _rhs_flush(cert_id, p, mu, t, run.r, phi_n,
+                                                   b_max[k])
+                else:
+                    rhs[k], coef_f[k] = _rhs_core(cert_id, p, mu, t, vmin, vmax, a_eff,
+                                                  phi_n, f_max[k], b_max[k])
                 coef_u[k] = boundary_coefficient(p, mu, a_eff, vmin, factored=False)
             margin = rhs - lhs
             ok_cells = margin[valid] + slack[valid]
             passed = bool(np.all(ok_cells >= 0.0)) if valid.any() else True
             certs.append(BoundCertificate(
-                estimate_id=_SUP_TWIN[base] if p == INF else base,
+                estimate_id=cert_id,
                 p=p, mu=mu, times=times, lhs=lhs, rhs=rhs, margin=margin,
                 valid=valid, slack=slack,
                 coefficient_factored=coef_f, coefficient_unfactored=coef_u,

@@ -22,13 +22,15 @@ from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from .bounds import bias_experiment, canonical_estimate, certify
+from .bounds import (EstimateValidityError, bias_experiment,
+                     canonical_estimate, certify)
+from .characteristics import CharacteristicsError
 from .continuity import log_state_problem
 from .expr import ExpressionError
 from .fields import (BoundarySignal, FieldValidationError, Grid,
                      InitialProfile, VelocityField)
 from .manufacturing import ManufacturingError
-from .norms import lp_norm
+from .norms import lp_norm_rows
 from .oracle import OracleError, upwind_solve
 from .scenarios import (Scenario, ScenarioError, load_scenario,
                         random_continuity_scenario, random_transport_scenario,
@@ -149,8 +151,8 @@ def _mode_oracle(sc: Scenario, out: str) -> Tuple[List[str], bool]:
     per_time = os.path.join(out, f"{sc.name}_oracle.csv")
     _write(per_time, chain(
         ["t,max_abs,l2"],
-        (f"{_fmt(t)},{_fmt(row.max())},{_fmt(lp_norm(row, grid.xs, 2))}"
-         for t, row in zip(grid.times, diff))))
+        (f"{_fmt(t)},{_fmt(row.max())},{_fmt(l2)}"
+         for t, row, l2 in zip(grid.times, diff, lp_norm_rows(diff, grid.xs, 2)))))
 
     err1 = float(diff[-1].max())
     nx2 = 2 * sc.nx - 1
@@ -260,7 +262,8 @@ def main(argv=None) -> int:
         sc = load_scenario(args.file)
         files, passed = run_mode(sc, args.mode, out, args.seed)
     except (ScenarioError, FieldValidationError, ManufacturingError,
-            ExpressionError, OracleError, OSError) as e:
+            ExpressionError, OracleError, EstimateValidityError,
+            CharacteristicsError, OSError) as e:
         messages = getattr(e, "errors", None) or [str(e)]
         print(json.dumps({"error": type(e).__name__, "messages": messages}))
         return 2

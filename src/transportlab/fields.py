@@ -48,6 +48,8 @@ def _as_expression(source: Union[str, Expression], allowed_vars) -> Expression:
 class ScalarSignal:
     """A function of time, expression- or callable-backed."""
 
+    variable = "t"
+
     def __init__(self, fn: Callable, fd_step: float = DEFAULT_FD_STEP,
                  expression: Optional[Expression] = None):
         self._fn = fn
@@ -57,42 +59,24 @@ class ScalarSignal:
     @classmethod
     def from_expression(cls, source: Union[str, Expression],
                         fd_step: float = DEFAULT_FD_STEP) -> "ScalarSignal":
-        e = _as_expression(source, ("t",))
-        return cls(lambda t: e(t=t), fd_step, e)
+        name = cls.variable
+        e = _as_expression(source, (name,))
+        return cls(lambda s: e(**{name: s}), fd_step, e)
 
     @classmethod
     def constant(cls, value: float) -> "ScalarSignal":
         v = float(value)
-        return cls(lambda t: v * np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else v,
+        return cls(lambda s: v * np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else v,
                    DEFAULT_FD_STEP)
 
-    def __call__(self, t):
-        return self._fn(t)
+    def __call__(self, s):
+        return self._fn(s)
 
 
-class ScalarProfile:
-    """A function of position on [0, 1]."""
+class ScalarProfile(ScalarSignal):
+    """A function of position on [0, 1]; the same wrapper as ScalarSignal."""
 
-    def __init__(self, fn: Callable, fd_step: float = DEFAULT_FD_STEP,
-                 expression: Optional[Expression] = None):
-        self._fn = fn
-        self.fd_step = fd_step
-        self.expression = expression
-
-    @classmethod
-    def from_expression(cls, source: Union[str, Expression],
-                        fd_step: float = DEFAULT_FD_STEP) -> "ScalarProfile":
-        e = _as_expression(source, ("x",))
-        return cls(lambda x: e(x=x), fd_step, e)
-
-    @classmethod
-    def constant(cls, value: float) -> "ScalarProfile":
-        v = float(value)
-        return cls(lambda x: v * np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else v,
-                   DEFAULT_FD_STEP)
-
-    def __call__(self, x):
-        return self._fn(x)
+    variable = "x"
 
 
 def _filled(v: float) -> Callable:
@@ -335,6 +319,15 @@ class CompatibilityReport:
         return self.value_ok
 
 
+def _classified(value_residual, derivative_residual, jump_points, tol):
+    """C1: value and slope match, no interior jump; C0: the value matches."""
+    value_ok = value_residual <= tol
+    derivative_ok = derivative_residual <= tol
+    regularity = ("C1" if derivative_ok and not jump_points else "C0") if value_ok else "PC1"
+    return CompatibilityReport(value_residual, derivative_residual,
+                               value_ok, derivative_ok, regularity, tol)
+
+
 def _one_sided(fn: Callable, at: float, h: float) -> float:
     return (float(fn(at + h)) - float(fn(at))) / h
 
@@ -356,16 +349,7 @@ def check_compatibility_continuity(rho_s: float, rho0: InitialProfile,
     h = v.field.fd_step
     dvdx = (float(v(0.0, h)) - float(v(0.0, 0.0))) / h
     derivative_residual = abs(db + dvdx + float(v(0.0, 0.0)) * drho / rho00)
-    value_ok = value_residual <= tol
-    derivative_ok = derivative_residual <= tol
-    if value_ok and derivative_ok and not rho0.jump_points:
-        regularity = "C1"
-    elif value_ok:
-        regularity = "C0"
-    else:
-        regularity = "PC1"
-    return CompatibilityReport(value_residual, derivative_residual,
-                               value_ok, derivative_ok, regularity, tol)
+    return _classified(value_residual, derivative_residual, rho0.jump_points, tol)
 
 
 def check_compatibility_transport(phi: InitialProfile, b: BoundarySignal,
@@ -385,13 +369,4 @@ def check_compatibility_transport(phi: InitialProfile, b: BoundarySignal,
     derivative_residual = abs(
         db + float(v(0.0, 0.0)) * dphi
         - float(coeffs.a(0.0, 0.0)) * b0 - float(coeffs.f(0.0, 0.0)))
-    value_ok = value_residual <= tol
-    derivative_ok = derivative_residual <= tol
-    if value_ok and derivative_ok and not phi.jump_points:
-        regularity = "C1"
-    elif value_ok:
-        regularity = "C0"
-    else:
-        regularity = "PC1"
-    return CompatibilityReport(value_residual, derivative_residual,
-                               value_ok, derivative_ok, regularity, tol)
+    return _classified(value_residual, derivative_residual, phi.jump_points, tol)

@@ -8,6 +8,9 @@ estimates also need three running extremals of the data - the minimum
 transport speed, the maximum spatial slope of the speed, and the maximum
 reaction coefficient - plus a fading-memory maximum over a receding horizon
 window.
+
+Norms and fading-memory maxima are computed for all rows or query times at
+once, a block at a time, each bitwise as for its row or time alone.
 """
 
 from __future__ import annotations
@@ -23,16 +26,22 @@ from .fields import Grid, SpaceTimeField, VelocityField
 __all__ = [
     "cumulative_trapezoid",
     "lp_norm",
+    "lp_norm_rows",
     "lp_log_norm",
+    "lp_log_norm_rows",
     "sup_log_norm",
     "Extremals",
     "extremals",
     "fading_memory_max",
+    "fading_memory_maxima",
     "heaviside_h",
     "NormTrace",
 ]
 
 PNorm = Union[float, int]
+
+# rows of a field, or query times, per block of the array routines
+_BLOCK = 32
 
 
 def _check_p(p: PNorm) -> float:
@@ -49,21 +58,40 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
+def lp_norm_rows(rows: np.ndarray, xs: np.ndarray, p: PNorm) -> np.ndarray:
+    """L^p norm of each row of a sampled field on [0, 1]; p = inf gives sup norms.
+    The root is taken per row, as a scalar."""
+    rows = np.asarray(rows, dtype=float)
+    p = _check_p(p)
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _BLOCK):
+        block = np.abs(rows[i:i + _BLOCK])
+        if p == math.inf:
+            out[i:i + _BLOCK] = np.max(block, axis=1)
+        else:
+            out[i:i + _BLOCK] = [s ** (1.0 / p)
+                                 for s in np.trapezoid(block ** p, xs, axis=1)]
+    return out
+
+
 def lp_norm(values: np.ndarray, xs: np.ndarray, p: PNorm) -> float:
     """L^p norm of a sampled profile on [0, 1]; p = inf gives the sup norm."""
-    values = np.asarray(values, dtype=float)
-    p = _check_p(p)
-    if p == math.inf:
-        return float(np.max(np.abs(values)))
-    return float(np.trapezoid(np.abs(values) ** p, np.asarray(xs, dtype=float)) ** (1.0 / p))
+    return float(lp_norm_rows(np.reshape(values, (1, -1)), xs, p)[0])
+
+
+def lp_log_norm_rows(rho_rows: np.ndarray, rho_s: float, xs: np.ndarray,
+                     p: PNorm) -> np.ndarray:
+    """L^p norm of ln(rho / rho_s) for each row of a sampled density field."""
+    rho_rows = np.asarray(rho_rows, dtype=float)
+    if np.fmin.reduce(rho_rows, axis=None) <= 0:  # a minimum that skips NaN
+        raise ValueError("density must be positive to take the logarithmic norm")
+    return np.concatenate([lp_norm_rows(np.log(rho_rows[i:i + _BLOCK] / rho_s), xs, p)
+                           for i in range(0, len(rho_rows), _BLOCK)])
 
 
 def lp_log_norm(rho_row: np.ndarray, rho_s: float, xs: np.ndarray, p: PNorm) -> float:
     """L^p norm of ln(rho / rho_s) for a sampled density row."""
-    rho_row = np.asarray(rho_row, dtype=float)
-    if np.any(rho_row <= 0):
-        raise ValueError("density must be positive to take the logarithmic norm")
-    return lp_norm(np.log(rho_row / rho_s), xs, p)
+    return float(lp_log_norm_rows(np.reshape(rho_row, (1, -1)), rho_s, xs, p)[0])
 
 
 def sup_log_norm(rho_row: np.ndarray, rho_s: float) -> float:
@@ -122,22 +150,33 @@ def heaviside_h(s) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
+def fading_memory_maxima(times: np.ndarray, values: np.ndarray, ts,
+                         mu: float, vmins) -> np.ndarray:
+    """max of g(s) exp(-mu (t - s)) over [max(0, t - 1/vmin), t] for each t in ts:
+    g sampled at ascending times, one vmin per t or one for all, window edges
+    inclusive to 1e-12.  A weighted maximum, not an integral."""
+    times, values, ts = (np.asarray(a, dtype=float) for a in (times, values, ts))
+    vmins = np.broadcast_to(np.asarray(vmins, dtype=float), ts.shape)
+    if not np.all(vmins > 0):
+        raise ValueError("vmin must be positive")
+    lo = np.searchsorted(times, np.maximum(0.0, ts - 1.0 / vmins) - 1e-12, side="left")
+    hi = np.searchsorted(times, ts + 1e-12, side="right")
+    if np.any(hi <= lo):
+        raise ValueError("no samples fall inside the fading-memory window")
+    out = np.empty(len(ts))
+    for i in range(0, len(ts), _BLOCK):
+        q = slice(i, i + _BLOCK)
+        cols = np.arange(lo[q].min(), hi[q].max())
+        weighted = values[cols] * np.exp(-mu * (ts[q, None] - times[cols]))
+        inside = (cols >= lo[q, None]) & (cols < hi[q, None])
+        out[q] = np.max(np.where(inside, weighted, -np.inf), axis=1)
+    return out
+
+
 def fading_memory_max(times: np.ndarray, values: np.ndarray, t: float,
                       mu: float, vmin: float) -> float:
-    """max of g(s) exp(-mu (t - s)) over the window [max(0, t - 1/vmin), t].
-
-    The signal is given by samples; the window edge is inclusive up to
-    rounding.  An exponentially weighted maximum, not an integral.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if not vmin > 0:
-        raise ValueError("vmin must be positive")
-    start = max(0.0, t - 1.0 / vmin)
-    mask = (times >= start - 1e-12) & (times <= t + 1e-12)
-    if not np.any(mask):
-        raise ValueError("no samples fall inside the fading-memory window")
-    return float(np.max(values[mask] * np.exp(-mu * (t - times[mask]))))
+    """``fading_memory_maxima`` at the single time t."""
+    return float(fading_memory_maxima(times, values, [t], mu, vmin)[0])
 
 
 @dataclass(frozen=True)

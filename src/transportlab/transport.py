@@ -23,7 +23,9 @@ it is linear in the member values, so superposition splits recombine
 exactly, and it cannot overshoot, so solution envelopes survive the
 transfer to the grid.  Both routes share one RK4 stepper and one
 quadrature rule; the fan costs O(rows x members) instead of O(nodes) root
-finds, which keeps full space-time fields tractable.
+finds, which keeps full space-time fields tractable.  Of the members that
+left the strip, only the first one past the wall is kept, as the right
+bracket of the nodes near x = 1.
 
 Nodes lying exactly on a jump locus (the separatrix included) take the
 left-limit value, matching the left-continuity convention for piecewise
@@ -161,9 +163,10 @@ class _Fan:
     boundary-limit value), then the initial member released at x = 0
     (carrying the initial-data limit), then initial members at every grid
     node and declared jump point.  Jump-point members double as segment
-    fences: interpolation runs inside segments only, and characteristics
-    that left the strip keep integrating with the clamped velocity so each
-    segment retains a right bracket for nodes near x = 1.
+    fences: interpolation runs inside segments only.  Members step over the
+    window [first, stop), from the latest boundary member to the first one
+    past the wall: the flow keeps order, so that member is the right bracket
+    for nodes near x = 1, and the ones after it are never read again.
     """
 
     def __init__(self, problem: TransportProblem, grid: Grid,
@@ -179,24 +182,26 @@ class _Fan:
         feet = np.unique(np.concatenate([grid.xs, np.asarray(problem.phi.jump_points)]))
         self.i_sep_left = K          # boundary member injected at t = 0
         M = (K + 1) + len(feet)
-        self.M = M
 
         self.X = np.zeros(M)
         self.A = np.zeros(M)
         self.Fq = np.zeros(M)
         self.w0 = np.zeros(M)
-        # the active members are the tail [first, M): the initial members and
-        # the boundary members injected so far, the latest one at first
+        # before the first step: the separatrix and the initial members
         self.first = K
+        self.stop = M
 
         # initial members
         self.X[K + 1:] = feet
         if include_phi:
             self.w0[K + 1:] = np.asarray(problem.phi(feet), dtype=float)
-        # boundary member injected at t = 0
+        # boundary member injected at t = 0, and the data of the one injected
+        # by each step, at the step's end time
+        self.include_b = include_b
         if include_b:
             self.w0[K] = float(problem.b(0.0))
-        self.include_b = include_b
+            self._b_ends = np.asarray(problem.b(grid.times[:-1] + grid.dt),
+                                      dtype=float) * np.ones(K)
 
         # jump-point member indices define the segment fences
         locus_feet = [0.0] + list(problem.phi.jump_points)
@@ -209,68 +214,69 @@ class _Fan:
         self._f_cur = self._field_row(problem.coeffs.f, 0.0)
 
     def _field_row(self, f, t):
-        """f at the active members; members not yet injected hold zero."""
-        row = np.zeros(self.M)
-        act = slice(self.first, None)
-        row[act] = f(t, np.clip(self.X[act], 0.0, 1.0))
+        """f at the members of the active window."""
+        row = np.empty(self.stop - self.first)
+        row[:] = f(t, np.clip(self.X[self.first:self.stop], 0.0, 1.0))
         return row
 
     def step(self, k: int):
-        """Advance active members from row k to k+1 and inject the new boundary one."""
+        """Advance the window from row k to k+1 and inject the new boundary member."""
         h = self.grid.dt
         t0r = float(self.grid.times[k])
         t1r = t0r + h
-        act = slice(self.first, None)
-        self.X[act] = self.engine._rk4(t0r, self.X[act], h)
+        lo = self.first
+        self.X[lo:self.stop] = self.engine._rk4(t0r, self.X[lo:self.stop], h)
+        past = lo + int(np.searchsorted(self.X[lo:self.stop], 1.0, side="right"))
+        self.stop = hi = min(self.stop, past + 1)
+        act = slice(lo, hi)
         # inject the boundary member for row k+1 at the wall before the row
-        # evaluations of a and f, which then cover it
+        # evaluations of a and f, which then cover it; it starts integrating
+        # at the next step
         idx = self.K - (k + 1)
         self.first = idx
         self.X[idx] = 0.0
         self.A[idx] = 0.0
         self.Fq[idx] = 0.0
         if self.include_b:
-            self.w0[idx] = float(self.problem.b(t1r))
+            self.w0[idx] = self._b_ends[k]
         a_new = self._field_row(self.problem.coeffs.a, t1r)
         f_new = self._field_row(self.problem.coeffs.f, t1r)
+        n = hi - lo
         a_old = self.A[act]
-        a_step = 0.5 * h * (self._a_cur[act] + a_new[act])
+        a_step = 0.5 * h * (self._a_cur[:n] + a_new[1:])
         if self.include_f:
             self.Fq[act] += 0.5 * h * (
-                np.exp(-a_old) * self._f_cur[act]
-                + np.exp(-(a_old + a_step)) * f_new[act])
+                np.exp(-a_old) * self._f_cur[:n]
+                + np.exp(-(a_old + a_step)) * f_new[1:])
         self.A[act] += a_step
         self._a_cur = a_new
         self._f_cur = f_new
 
-    def eval_row(self, k: int, out: np.ndarray):
-        """Interpolate member values onto the grid nodes for row k."""
+    def eval_row(self, out: np.ndarray):
+        """Interpolate member values onto the grid nodes for the current row."""
         xs = self.grid.xs
-        w_all = np.exp(self.A) * (self.w0 + self.Fq)
+        lo, hi = self.first, self.stop
+        w = np.exp(self.A[lo:hi]) * (self.w0[lo:hi] + self.Fq[lo:hi])
         fences = np.minimum(self.X[self.locus_idx], 1.0)
         fences[0] = min(self.X[self.i_sep_left], 1.0)
         node_seg = np.searchsorted(fences, xs, side="left")
 
-        # segment 0: boundary members injected so far (reverse injection order)
-        bnd = slice(self.K - k, self.K + 1)
-        self._fill(out, xs, node_seg == 0, self.X[bnd], w_all[bnd])
+        # segment 0: boundary members injected so far (reverse injection
+        # order); each segment ends at the window's end at the latest
+        end = min(self.K + 1, hi)
+        self._fill(out, xs, node_seg == 0, self.X[lo:end], w[:end - lo])
         # interior segments between consecutive jump loci
         for j, (i0, i1) in enumerate(self.segments, start=1):
             mask = node_seg == j
             if not np.any(mask):
                 continue
-            self._fill(out, xs, mask, self.X[i0:i1 + 1], w_all[i0:i1 + 1])
+            end = min(i1 + 1, hi)
+            self._fill(out, xs, mask, self.X[i0:end], w[i0 - lo:end - lo])
 
     @staticmethod
     def _fill(out, xs, mask, pos, vals):
         if not np.any(mask):
             return
-        # trim to the first member beyond the wall: it brackets nodes near x = 1
-        cut = np.searchsorted(pos, 1.0, side="right")
-        if cut < len(pos):
-            cut += 1
-        pos = pos[:cut]
-        vals = vals[:cut]
         keep = np.concatenate([[True], np.diff(pos) > 1e-13])
         pos = pos[keep]
         vals = vals[keep]
@@ -290,10 +296,10 @@ def solve_field(problem: TransportProblem, grid: Grid,
     engine = engine or CharacteristicEngine(problem.v, grid)
     fan = _Fan(problem, grid, engine, include_phi, include_b, include_f)
     values = np.empty((grid.nt + 1, grid.nx))
-    fan.eval_row(0, values[0])
+    fan.eval_row(values[0])
     for k in range(grid.nt):
         fan.step(k)
-        fan.eval_row(k + 1, values[k + 1])
+        fan.eval_row(values[k + 1])
     return SolutionField(
         grid=grid,
         times=grid.times,

@@ -26,8 +26,12 @@ from transportlab.fields import (
     TransportCoefficients,
     VelocityField,
 )
+from transportlab.manufacturing import (ProductionScenario, manufacturing_run,
+                                        simulate_closed_loop)
 from transportlab.norms import NormTrace, extremals, heaviside_h
 from transportlab.transport import TransportProblem
+
+import reference_forms
 
 INF = math.inf
 ROOT_HALF_E2M1 = 1.7873242709327608  # sqrt((e^2 - 1)/2)
@@ -205,6 +209,61 @@ def test_certify_rejects_mismatched_estimate():
         certify(run, "E2.10", [2], [0.1])
     with pytest.raises(ValueError):
         certify(run, "E9.9", [2], [0.1])
+
+
+def _reaction_run():
+    prob = TransportProblem(
+        phi=InitialProfile.from_expression("sin(pi*x)"),
+        b=BoundarySignal.from_expression("0.2*cos(3*t)"),
+        v=VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(t)"),
+        coeffs=TransportCoefficients(
+            a=SpaceTimeField.from_expression("0.3*x - 0.2"),
+            f=SpaceTimeField.from_expression("0.1*cos(t)*x"),
+        ),
+    )
+    return transport_run(prob, Grid(121, 5e-3, 1.6))
+
+
+def _manufacturing_run():
+    sc = ProductionScenario(1.0, InitialProfile.from_expression("1"),
+                            BoundarySignal.from_expression("0.05*sin(2*t)^3"),
+                            "1/(1 + W)", 2.0)
+    return manufacturing_run(simulate_closed_loop(sc, 2.0, Grid(101, 4e-3, 2.0)))
+
+
+@pytest.mark.parametrize("kind", ["continuity", "transport", "manufacturing"])
+def test_certificates_match_the_per_time_formulas(kind):
+    if kind == "continuity":
+        run, base = make_run(rho0="exp(-0.2*pi*x)", b="0.1*sin(2*t)",
+                             v="1 + 0.2*sin(pi*x) + 0.3*t*x",
+                             grid=Grid(121, 5e-3, 1.6)), "E2.4"
+    elif kind == "transport":
+        run, base = _reaction_run(), "E2.10"
+    else:
+        run, base = _manufacturing_run(), "E3.6"
+    mus = [-0.1, 0.0, 0.1, 1.0, 2.5]
+    certs = certify(run, base, [1.5, 2, 4, INF], mus)
+    assert len(certs) == 20
+    for cert in certs:
+        rhs, valid, coef_f, coef_u = reference_forms.rhs(run, base, cert.p, cert.mu)
+        assert np.array_equal(cert.lhs, reference_forms.lhs(run, cert.p))
+        assert np.array_equal(cert.valid, valid)
+        assert np.array_equal(cert.rhs, rhs, equal_nan=True)
+        assert np.array_equal(cert.coefficient_factored, coef_f, equal_nan=True)
+        assert np.array_equal(cert.coefficient_unfactored, coef_u, equal_nan=True)
+    assert any(c.valid.any() for c in certs) and not all(c.valid.all() for c in certs)
+
+
+def test_overflowing_gain_is_an_estimate_error():
+    # a slow but valid speed: exp((mu + ...)/vmin) is beyond any float
+    run = make_run(v="1e-8 + 0*x", grid=Grid(21, 5e-2, 0.5))
+    for p in (2, INF):
+        with pytest.raises(EstimateValidityError,
+                           match=r"E2\.[45] at p=.*, mu=0\.3, t=0\.0: the source gain term"):
+            certify(run, "E2.4", [p], [0.3])
+    # the boundary gain alone overflows once the source term vanishes
+    assert boundary_coefficient(INF, 0.3, 0.0, 1e-8) == INF
+    assert boundary_coefficient(2, 0.3, 0.0, 1e-8) == INF
 
 
 def test_overshoot_factor_respects_peak_bound():

@@ -236,6 +236,24 @@ def test_p_of_one_reports_json(tmp_path, capsys):
     assert any("p values must exceed 1" in m for m in report["messages"])
 
 
+@pytest.mark.parametrize("p", ["2", "inf"])
+def test_overflowing_gain_reports_json(tmp_path, capsys, p):
+    # a slow speed above the positivity floor: the gains exp(.../vmin)
+    # overflow a float, which is an input error, not an infinite bound
+    src = (CONTINUITY_SRC.replace('v = "1 + 0.1*cos(pi*x)"', 'v = "1e-8 + 0*x"')
+           .replace("p = 2, inf", f"p = {p}"))
+    path = write(tmp_path, "slow.txt", src)
+    rc = cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "EstimateValidityError"
+    assert "mu=0.3" in report["messages"][0]
+    assert "overflows" in report["messages"][0]
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "slow_cert.csv").exists()
+
+
 def test_missing_file_reports_json(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 2

@@ -12,11 +12,16 @@ from transportlab.norms import (
     cumulative_trapezoid,
     extremals,
     fading_memory_max,
+    fading_memory_maxima,
     heaviside_h,
     lp_log_norm,
+    lp_log_norm_rows,
     lp_norm,
+    lp_norm_rows,
     sup_log_norm,
 )
+
+import reference_forms
 
 FINE_XS = np.linspace(0.0, 1.0, 20001)
 
@@ -147,6 +152,73 @@ def test_fading_memory_discounts_old_samples():
 def test_fading_memory_requires_positive_vmin():
     with pytest.raises(ValueError):
         fading_memory_max(np.array([0.0]), np.array([1.0]), 0.0, 1.0, 0.0)
+
+
+# --- the array forms against the per-time and per-row formulas --------------
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fading_memory_maxima_match_the_per_time_formula(seed):
+    rng = np.random.default_rng(seed)
+    times = np.arange(301) * 0.01
+    values = np.abs(rng.normal(size=len(times))) * np.exp(rng.normal(size=len(times)))
+    # a non-monotone vmin, from windows clipped at 0 up to short ones
+    vmins = rng.uniform(0.2, 5.0, size=len(times))
+    for mu in (0.0, 0.3, 2.0, -0.4):
+        got = fading_memory_maxima(times, values, times, mu, vmins)
+        want = [reference_forms.fading_memory_max(times, values, float(t), mu, float(vm))
+                for t, vm in zip(times, vmins)]
+        assert np.array_equal(got, want)
+    # off-grid query times and one vmin for all
+    ts = np.sort(rng.uniform(0.0, 3.0, size=77))
+    got = fading_memory_maxima(times, values, ts, 0.7, 1.3)
+    want = [reference_forms.fading_memory_max(times, values, float(t), 0.7, 1.3) for t in ts]
+    assert np.array_equal(got, want)
+    assert fading_memory_max(times, values, float(ts[5]), 0.7, 1.3) == want[5]
+
+
+def test_fading_memory_window_edges_within_rounding_of_a_sample():
+    times = np.arange(201) * 0.01
+    values = np.linspace(3.0, 1.0, len(times))  # the oldest sample is the largest
+    for shift in (-9e-13, -1e-13, 0.0, 1e-13, 9e-13, 1.1e-12, -1.1e-12):
+        # the window's left edge t - 1/vmin lands `shift` away from times[50]
+        t = float(times[150])
+        vmin = 1.0 / (t - (float(times[50]) + shift))
+        got = fading_memory_maxima(times, values, [t], 0.2, vmin)[0]
+        assert got == reference_forms.fading_memory_max(times, values, t, 0.2, vmin)
+        # the right edge: a query time just before or after a sample
+        tq = float(times[120]) + shift
+        got = fading_memory_maxima(times, values, [tq], 0.2, 0.6)[0]
+        assert got == reference_forms.fading_memory_max(times, values, tq, 0.2, 0.6)
+    # samples exactly on the inclusive edges start - 1e-12 and t + 1e-12
+    t, vmin = 0.75, 2.0
+    times = np.array([0.0, (t - 1.0 / vmin) - 1e-12, 0.5, t + 1e-12])
+    for hot in (1, 3):
+        values = np.ones(4)
+        values[hot] = 5.0
+        assert fading_memory_maxima(times, values, [t], 0.0, vmin)[0] == 5.0
+        assert reference_forms.fading_memory_max(times, values, t, 0.0, vmin) == 5.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 4, math.inf])
+def test_lp_norm_rows_match_each_row_alone(p):
+    rng = np.random.default_rng(7)
+    xs = np.linspace(0.0, 1.0, 121)
+    rows = rng.normal(size=(75, len(xs))) * np.exp(rng.normal(size=(75, 1)))
+    got = lp_norm_rows(rows, xs, p)
+    assert np.array_equal(got, [reference_forms.lp_norm(row, xs, p) for row in rows])
+    assert np.array_equal(got, [lp_norm(row, xs, p) for row in rows])
+    rho = np.exp(rows)
+    got = lp_log_norm_rows(rho, 1.3, xs, p)
+    assert np.array_equal(got, [reference_forms.lp_norm(np.log(row / 1.3), xs, p)
+                                for row in rho])
+    assert np.array_equal(got, [lp_log_norm(row, 1.3, xs, p) for row in rho])
+
+
+def test_lp_log_norm_rows_reject_a_nonpositive_density():
+    rho = np.ones((40, 5))
+    rho[37, 2] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        lp_log_norm_rows(rho, 1.0, np.linspace(0, 1, 5), 2)
 
 
 def test_package_import_loads_no_scipy():

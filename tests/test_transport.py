@@ -219,3 +219,51 @@ def test_distinct_queries_leave_a_bounded_number_of_stored_paths():
     # the last query's flow and backtrace; the separatrix is kept apart
     assert len(engine._flow_cache) <= 2
     assert engine._separatrix is not None
+
+
+# --- the fan's work -----------------------------------------------------------
+
+def test_members_past_the_wall_stop_being_stepped():
+    # at speed 4 the whole initial fan has left the strip by t = 0.25
+    grid = Grid(101, 1e-2, 1.0)
+    stepped = []
+
+    def speed(t, x):
+        if isinstance(x, np.ndarray):
+            stepped.append(x.size)
+            return np.full(x.shape, 4.0)
+        return 4.0
+
+    v = VelocityField(SpaceTimeField(speed))
+    v.grid_rows(grid)  # the grid rows are kept; what follows is the fan's RK4
+    stepped.clear()
+    prob = TransportProblem(phi=InitialProfile.from_expression("x"),
+                            b=BoundarySignal.from_expression("-t"), v=v)
+    field = solve_field(prob, grid)
+    member_steps = sum(stepped) / 4  # four RK4 stages per step
+    members = grid.nt + 1 + grid.nx
+    assert member_steps < 0.5 * grid.nt * members
+    # still the exact solution: phi(x - 4t) ahead of the separatrix, b behind
+    t, x = np.meshgrid(grid.times, grid.xs, indexing="ij")
+    exact = np.where(x > 4.0 * t, x - 4.0 * t, -(t - x / 4.0))
+    np.testing.assert_allclose(field.values, exact, rtol=0, atol=1e-12)
+
+
+class CountingBoundary(BoundarySignal):
+    calls = 0
+
+    def __call__(self, t):
+        CountingBoundary.calls += 1
+        return super().__call__(t)
+
+
+@pytest.mark.parametrize("nt", [50, 400])
+def test_solve_field_evaluates_the_boundary_signal_a_fixed_number_of_times(nt):
+    grid = Grid(51, 1.0 / nt, 1.0)
+    b = CountingBoundary.from_expression("cos(3*t)")
+    prob = problem_of(v="1 + 0.5*x", phi="1")
+    prob.b = b
+    CountingBoundary.calls = 0
+    field = solve_field(prob, grid)
+    assert CountingBoundary.calls == 2  # b(0) and one call on every step's end time
+    assert field.values[-1, 0] == pytest.approx(np.cos(3.0), abs=1e-12)
