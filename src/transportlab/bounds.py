@@ -40,6 +40,7 @@ from .fields import (
     Grid,
     InitialProfile,
     VelocityField,
+    sample_grid,
 )
 from .norms import (
     Extremals,
@@ -249,16 +250,14 @@ def transport_run(problem: TransportProblem, grid: Grid,
     engine = engine or CharacteristicEngine(problem.v, grid)
     fine = solve_field(problem, grid, engine)
     coarse = solve_field(problem, grid.coarsened_space())
-    ones = np.ones_like(grid.xs)
+    b_values = np.asarray(problem.b(grid.times), dtype=float) * np.ones_like(grid.times)
     return TrajectoryRun(
         kind="transport", grid=grid, state=fine, state_coarse=coarse,
         ext=extremals(problem.v, grid, problem.coeffs.a),
-        b_trace=NormTrace(times=grid.times,
-                          values=np.array([float(problem.b(t)) for t in grid.times]),
+        b_trace=NormTrace(times=grid.times, values=b_values,
                           p=INF, label="boundary signal"),
-        f_rows=np.array([np.asarray(problem.coeffs.f(float(t), grid.xs), dtype=float)
-                         * ones for t in grid.times]),
-        phi_row=np.asarray(problem.phi(grid.xs), dtype=float) * ones,
+        f_rows=sample_grid(problem.coeffs.f, grid),
+        phi_row=np.asarray(problem.phi(grid.xs), dtype=float) * np.ones_like(grid.xs),
     )
 
 

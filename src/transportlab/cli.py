@@ -28,7 +28,7 @@ from .characteristics import CharacteristicsError
 from .continuity import log_state_problem
 from .expr import ExpressionError
 from .fields import (BoundarySignal, FieldValidationError, Grid,
-                     InitialProfile, VelocityField)
+                     InitialProfile, VelocityField, row_blocks)
 from .manufacturing import ManufacturingError
 from .norms import lp_norm_rows
 from .oracle import OracleError, upwind_solve
@@ -133,10 +133,7 @@ def _oracle_problem(sc: Scenario):
 
 def _cfl_grid(problem, nx: int, horizon: float, cfl: float = 0.5) -> Grid:
     probe = Grid(nx, horizon / max(2, round(horizon / 0.01)), horizon)
-    vmax = 0.0
-    for t in probe.times:
-        vmax = max(vmax, float(np.max(np.asarray(problem.v(t, probe.xs),
-                                                 dtype=float))))
+    vmax = max(0.0, *(float(np.max(block)) for _, block in row_blocks(problem.v, probe)))
     dx = 1.0 / (nx - 1)
     steps = max(1, math.ceil(horizon * vmax / (cfl * dx)))
     return Grid(nx, horizon / steps, horizon)

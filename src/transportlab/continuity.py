@@ -47,7 +47,10 @@ def log_state_problem(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
 def solve_continuity(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
                      v: VelocityField, grid: Grid,
                      engine: Optional[CharacteristicEngine] = None) -> SolutionField:
-    """Solve the continuity equation; returns densities (kind "rho")."""
+    """Solve the continuity equation; returns densities (kind "rho").
+
+    Raises FieldValidationError when a density is not finite.
+    """
     rho0.validate_positive(grid.xs)
     problem = log_state_problem(rho_s, rho0, b, v)
     w = solve_field(problem, grid, engine)
@@ -55,8 +58,7 @@ def solve_continuity(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
         grid=grid, times=w.times, xs=w.xs,
         values=rho_s * np.exp(w.values),
         kind="rho", component="full",
-        separatrix=w.separatrix, loci=w.loci,
-    )
+    ).check_finite()
 
 
 def equilibrium_profile(rho_s: float, b_const: float,

@@ -4,6 +4,11 @@ Scenario inputs arrive as parsed expressions; everything downstream consumes
 them through the thin wrappers here, which add validation and, for fields
 of (t, x), a central-difference ``ddx`` (step ``fd_step``, default 1e-6).
 Corner compatibility checks use one-sided differences with the same step.
+
+Data are sampled on a grid a block of grid times per call (``row_blocks``):
+a field callable must broadcast a column of times against the row of
+nodes, and a time signal must accept an array of times.  The expression,
+constant, sampled and slope fields all do.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +32,8 @@ __all__ = [
     "InitialProfile",
     "TransportCoefficients",
     "Grid",
+    "row_blocks",
+    "sample_grid",
     "CompatibilityReport",
     "check_compatibility_continuity",
     "check_compatibility_transport",
@@ -165,19 +172,21 @@ class VelocityField:
         Read-only; evaluated once and reused until another grid is asked for.
         """
         if self._rows is None or self._rows[0] != grid:
-            ones = np.ones(grid.nx)
-            rows = np.array([np.asarray(self.field(t, grid.xs), dtype=float) * ones
-                             for t in grid.times])
+            rows = sample_grid(self.field, grid)
             rows.flags.writeable = False
             self._rows = (grid, rows)
         return self._rows[1]
 
     def validate_positive(self, grid: "Grid") -> float:
-        """Return the grid minimum of v; raise if it drops below the floor."""
-        vmin = float(np.min(self.grid_rows(grid)))
+        """Return the grid minimum of v; raise if it drops below the floor or
+        is not finite."""
+        rows = self.grid_rows(grid)
+        vmin = float(np.min(rows))
         if not vmin >= self.floor:
             raise FieldValidationError(
                 f"velocity must be positive on the grid (min {vmin:.3e} < floor {self.floor:.1e})")
+        if not np.max(rows) < math.inf:
+            raise FieldValidationError("velocity is not finite on the grid")
         return vmin
 
 
@@ -199,8 +208,7 @@ class BoundarySignal:
         return self.signal(t)
 
     def validate_finite(self, times: np.ndarray):
-        vals = np.asarray([self.signal(float(t)) for t in np.atleast_1d(times)], dtype=float)
-        if not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(self.signal(np.asarray(times, dtype=float)))):
             raise FieldValidationError("boundary signal is not finite on the grid")
 
 
@@ -299,6 +307,27 @@ class Grid:
     def coarsened_space(self) -> "Grid":
         """Same time stepping, roughly half the spatial resolution."""
         return Grid(max(2, self.nx // 2 + 1), self.dt, self.horizon)
+
+
+ROW_BLOCK = 32  # grid times per sampler call; rows or times per norms block
+
+
+def row_blocks(fn: Callable, grid: Grid) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (rows, fn on those grid rows): one call per ``ROW_BLOCK`` grid
+    times, each value as a call on its row alone gives it."""
+    for k in range(0, grid.nt + 1, ROW_BLOCK):
+        times = grid.times[k:k + ROW_BLOCK, None]
+        values = np.empty((len(times), grid.nx))
+        values[:] = fn(times, grid.xs)
+        yield slice(k, k + len(times)), values
+
+
+def sample_grid(fn: Callable, grid: Grid) -> np.ndarray:
+    """fn at every grid node, shape (nt + 1, nx), filled a block at a time."""
+    out = np.empty((grid.nt + 1, grid.nx))
+    for rows, values in row_blocks(fn, grid):
+        out[rows] = values
+    return out
 
 
 # ---------------------------------------------------------------------------

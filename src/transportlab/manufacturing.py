@@ -51,6 +51,7 @@ __all__ = [
 _RESIDUAL_TOL = 1e-12
 _MAX_ITERATIONS = 200
 _SAFETY = 1.1  # finite sampling can under-estimate a Lipschitz constant
+_ROUNDING_ULPS = 16
 
 
 class ManufacturingError(ValueError):
@@ -195,7 +196,7 @@ class FixedPointReport:
     window_limit: float          # longest admissible length for this scenario
     iterations: int
     residual: float              # last sup-distance between successive iterates
-    contraction_observed: float  # max ratio of successive residuals
+    contraction_observed: float  # max ratio of successive residuals above rounding
     contraction_bound: float     # window_length * l_lambda * (l_state + l_btilde/vmin)
     l_lambda: float
     l_rho0: float
@@ -273,7 +274,7 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
         raise ManufacturingError(
             f"induced speed did not settle in {_MAX_ITERATIONS} iterations "
             f"(last residual {residuals[-1]:.3e}, observed factor "
-            f"{_observed_factor(residuals):.3f})")
+            f"{_observed_factor(residuals, scenario.vmax):.3f})")
 
     # one clean pass with the converged speed, so the returned travelled
     # distance and inventory match the speed they are reported with
@@ -284,7 +285,7 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
     report = FixedPointReport(
         window=(t_a, t_b), window_length=length, window_limit=limit,
         iterations=len(residuals), residual=residuals[-1],
-        contraction_observed=_observed_factor(residuals),
+        contraction_observed=_observed_factor(residuals, scenario.vmax),
         contraction_bound=length * scenario.l_lambda *
         (l_state + scenario.l_btilde / scenario.vmin),
         l_lambda=scenario.l_lambda, l_rho0=scenario.l_rho0,
@@ -293,9 +294,14 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
     return v, V, w_trace, report
 
 
-def _observed_factor(residuals: Sequence[float]) -> float:
+def _observed_factor(residuals: Sequence[float], vmax: float) -> float:
+    """Largest ratio of successive residuals.  A residual within
+    _ROUNDING_ULPS ulps of vmax is rounding in the speed, not contraction,
+    and ends no ratio."""
+    floor = _ROUNDING_ULPS * float(np.spacing(vmax))
     ratios = [residuals[i + 1] / residuals[i]
-              for i in range(len(residuals) - 1) if residuals[i] > 0.0]
+              for i in range(len(residuals) - 1)
+              if residuals[i] > 0.0 and residuals[i + 1] > floor]
     return max(ratios) if ratios else 0.0
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fields import Grid, SpaceTimeField, VelocityField
+from .fields import ROW_BLOCK, Grid, SpaceTimeField, VelocityField, row_blocks
 
 __all__ = [
     "cumulative_trapezoid",
@@ -39,9 +39,6 @@ __all__ = [
 ]
 
 PNorm = Union[float, int]
-
-# rows of a field, or query times, per block of the array routines
-_BLOCK = 32
 
 
 def _check_p(p: PNorm) -> float:
@@ -64,13 +61,13 @@ def lp_norm_rows(rows: np.ndarray, xs: np.ndarray, p: PNorm) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     p = _check_p(p)
     out = np.empty(len(rows))
-    for i in range(0, len(rows), _BLOCK):
-        block = np.abs(rows[i:i + _BLOCK])
+    for i in range(0, len(rows), ROW_BLOCK):
+        block = np.abs(rows[i:i + ROW_BLOCK])
         if p == math.inf:
-            out[i:i + _BLOCK] = np.max(block, axis=1)
+            out[i:i + ROW_BLOCK] = np.max(block, axis=1)
         else:
-            out[i:i + _BLOCK] = [s ** (1.0 / p)
-                                 for s in np.trapezoid(block ** p, xs, axis=1)]
+            out[i:i + ROW_BLOCK] = [s ** (1.0 / p)
+                                    for s in np.trapezoid(block ** p, xs, axis=1)]
     return out
 
 
@@ -85,8 +82,8 @@ def lp_log_norm_rows(rho_rows: np.ndarray, rho_s: float, xs: np.ndarray,
     rho_rows = np.asarray(rho_rows, dtype=float)
     if np.fmin.reduce(rho_rows, axis=None) <= 0:  # a minimum that skips NaN
         raise ValueError("density must be positive to take the logarithmic norm")
-    return np.concatenate([lp_norm_rows(np.log(rho_rows[i:i + _BLOCK] / rho_s), xs, p)
-                           for i in range(0, len(rho_rows), _BLOCK)])
+    return np.concatenate([lp_norm_rows(np.log(rho_rows[i:i + ROW_BLOCK] / rho_s), xs, p)
+                           for i in range(0, len(rho_rows), ROW_BLOCK)])
 
 
 def lp_log_norm(rho_row: np.ndarray, rho_s: float, xs: np.ndarray, p: PNorm) -> float:
@@ -124,17 +121,16 @@ class Extremals:
 def extremals(v: VelocityField, grid: Grid,
               a: Optional[SpaceTimeField] = None) -> Extremals:
     """Sample v, dv/dx, and a on the grid and accumulate their running extremals."""
-    xs = grid.xs
     vmin_rows = np.empty(grid.nt + 1)
     slope_rows = np.empty(grid.nt + 1)
     a_rows = np.zeros(grid.nt + 1)
-    for k, t in enumerate(grid.times):
-        vrow = np.asarray(v(t, xs), dtype=float)
-        vmin_rows[k] = np.min(vrow)
-        srow = np.asarray(v.ddx(t, xs), dtype=float)
-        slope_rows[k] = np.max(srow)
-        if a is not None:
-            a_rows[k] = np.max(np.asarray(a(t, xs), dtype=float))
+    for rows, block in row_blocks(v, grid):
+        vmin_rows[rows] = np.min(block, axis=1)
+    for rows, block in row_blocks(v.ddx, grid):
+        slope_rows[rows] = np.max(block, axis=1)
+    if a is not None:
+        for rows, block in row_blocks(a, grid):
+            a_rows[rows] = np.max(block, axis=1)
     return Extremals(
         times=grid.times,
         vmin=np.minimum.accumulate(vmin_rows),
@@ -164,8 +160,8 @@ def fading_memory_maxima(times: np.ndarray, values: np.ndarray, ts,
     if np.any(hi <= lo):
         raise ValueError("no samples fall inside the fading-memory window")
     out = np.empty(len(ts))
-    for i in range(0, len(ts), _BLOCK):
-        q = slice(i, i + _BLOCK)
+    for i in range(0, len(ts), ROW_BLOCK):
+        q = slice(i, i + ROW_BLOCK)
         cols = np.arange(lo[q].min(), hi[q].max())
         weighted = values[cols] * np.exp(-mu * (ts[q, None] - times[cols]))
         inside = (cols >= lo[q, None]) & (cols < hi[q, None])

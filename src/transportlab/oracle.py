@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid
+from .fields import Grid, row_blocks
 from .transport import SolutionField, TransportProblem
 
 __all__ = ["OracleError", "upwind_solve"]
@@ -43,21 +43,15 @@ def upwind_solve(problem: TransportProblem, grid: Grid) -> SolutionField:
 
     w = np.empty((grid.nt + 1, grid.nx))
     w[0] = np.asarray(problem.phi(xs), dtype=float)
-    w[0, 0] = float(problem.b(0.0))
-    a = problem.coeffs.a
-    f = problem.coeffs.f
-    for n in range(grid.nt):
-        t = float(times[n])
-        row = w[n]
-        a_row = np.asarray(a(t, xs), dtype=float) * np.ones(grid.nx)
-        f_row = np.asarray(f(t, xs), dtype=float) * np.ones(grid.nx)
-        nxt = w[n + 1]
-        nxt[1:] = (row[1:]
-                   - lam * v_rows[n, 1:] * (row[1:] - row[:-1])
-                   + grid.dt * (a_row[1:] * row[1:] + f_row[1:]))
-        nxt[0] = float(problem.b(float(times[n + 1])))
+    w[:, 0] = problem.b(times)
+    blocks = zip(row_blocks(problem.coeffs.a, grid), row_blocks(problem.coeffs.f, grid))
+    for (rows, a_block), (_, f_block) in blocks:
+        for n, a_row, f_row in zip(range(rows.start, grid.nt), a_block, f_block):
+            row = w[n]
+            w[n + 1, 1:] = (row[1:]
+                            - lam * v_rows[n, 1:] * (row[1:] - row[:-1])
+                            + grid.dt * (a_row[1:] * row[1:] + f_row[1:]))
     return SolutionField(
         grid=grid, times=times, xs=xs, values=w,
         kind="w", component="full",
-        separatrix=None, loci=[],
     )

@@ -29,7 +29,10 @@ bracket of the nodes near x = 1.
 
 Nodes lying exactly on a jump locus (the separatrix included) take the
 left-limit value, matching the left-continuity convention for piecewise
-C^1 data.
+C^1 data.  A field solve returns the values only: the separatrix and the
+jump loci are not integrated for it, and ``CharacteristicEngine.separatrix``
+and ``jump_loci`` provide them.  A solve whose field holds a value that is
+not finite raises ``FieldValidationError``.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ from typing import Optional
 
 import numpy as np
 
-from .characteristics import CharacteristicEngine, JumpLocus, Separatrix
+from .characteristics import CharacteristicEngine
 from .fields import (
     BoundarySignal,
+    FieldValidationError,
     Grid,
     InitialProfile,
     TransportCoefficients,
@@ -97,7 +101,8 @@ class SolutionField:
 
     ``kind`` is "w" for transport state or "rho" for densities; ``component``
     tags full solutions versus the parts of a superposition split
-    (boundary_only / initial_only / source_only).
+    (boundary_only / initial_only / source_only).  It holds no separatrix or
+    jump loci; ``CharacteristicEngine(v, grid)`` provides them.
     """
 
     grid: Grid
@@ -106,11 +111,17 @@ class SolutionField:
     values: np.ndarray  # shape (len(times), len(xs))
     kind: str
     component: str
-    separatrix: Separatrix
-    loci: list[JumpLocus]
 
-    def row(self, k: int) -> np.ndarray:
-        return self.values[k]
+    def check_finite(self) -> "SolutionField":
+        """Raise FieldValidationError naming the first node, row by row, whose
+        value is not finite; return the field otherwise."""
+        finite = np.isfinite(self.values)
+        if not finite.all():
+            k, i = np.unravel_index(np.argmin(finite), finite.shape)
+            raise FieldValidationError(
+                f"{'density' if self.kind == 'rho' else 'solution'} is not finite "
+                f"at t = {float(self.times[k])!r}, x = {float(self.xs[i])!r}")
+        return self
 
     @property
     def final_row(self) -> np.ndarray:
@@ -307,9 +318,7 @@ def solve_field(problem: TransportProblem, grid: Grid,
         values=values,
         kind="w",
         component=component,
-        separatrix=engine.separatrix(),
-        loci=engine.jump_loci(problem.phi.jump_points),
-    )
+    ).check_finite()
 
 
 def decompose(problem: TransportProblem, grid: Grid,

@@ -1,7 +1,9 @@
 """Per-time and per-row formulas the array forms of the package must match bitwise.
 
 Each evaluates one time or one row on its own, the way the certifier did
-before it computed norms and fading-memory maxima for all times at once.
+before it computed norms and fading-memory maxima for all times at once,
+and the way the problem data were sampled before the blocked sampler.
+``Counted`` counts the calls a field or signal receives.
 """
 
 import math
@@ -12,6 +14,18 @@ from transportlab.bounds import boundary_coefficient, mu_is_valid
 from transportlab.norms import heaviside_h
 
 INF = math.inf
+
+
+class Counted:
+    """A field or signal callable that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
 
 
 def fading_memory_max(times, values, t, mu, vmin):
@@ -74,3 +88,53 @@ def rhs(run, base, p, mu):
             out[k] = term1 + term2 + coef_f[k] * b_max
         valid[k] = True
     return out, valid, coef_f, coef_u
+
+
+def grid_rows(fn, grid):
+    """fn on the grid, one call per grid time."""
+    ones = np.ones(grid.nx)
+    return np.array([np.asarray(fn(t, grid.xs), dtype=float) * ones
+                     for t in grid.times])
+
+
+def extremals(v, grid, a=None):
+    """(vmin, dvdx_max, a_max) of each grid row, before the running extremals."""
+    vmin = np.array([np.min(np.asarray(v(t, grid.xs), dtype=float)) for t in grid.times])
+    slope = np.array([np.max(np.asarray(v.ddx(t, grid.xs), dtype=float))
+                      for t in grid.times])
+    a_max = (np.zeros(len(grid.times)) if a is None else
+             np.array([np.max(np.asarray(a(t, grid.xs), dtype=float)) for t in grid.times]))
+    return (np.minimum.accumulate(vmin), np.maximum.accumulate(slope),
+            np.maximum.accumulate(a_max))
+
+
+def b_trace(problem, grid):
+    """The boundary signal at each grid time, one scalar call per time."""
+    return np.array([float(problem.b(t)) for t in grid.times])
+
+
+def f_rows(problem, grid):
+    """The source on each grid row, one call per time."""
+    ones = np.ones_like(grid.xs)
+    return np.array([np.asarray(problem.coeffs.f(float(t), grid.xs), dtype=float) * ones
+                     for t in grid.times])
+
+
+def upwind_solve(problem, grid):
+    """The upwind march with a and f evaluated on each row as it is reached."""
+    xs, times, lam = grid.xs, grid.times, grid.dt / grid.dx
+    v_rows = grid_rows(problem.v, grid)
+    w = np.empty((grid.nt + 1, grid.nx))
+    w[0] = np.asarray(problem.phi(xs), dtype=float)
+    w[0, 0] = float(problem.b(0.0))
+    for n in range(grid.nt):
+        t = float(times[n])
+        row = w[n]
+        a_row = np.asarray(problem.coeffs.a(t, xs), dtype=float) * np.ones(grid.nx)
+        f_row = np.asarray(problem.coeffs.f(t, xs), dtype=float) * np.ones(grid.nx)
+        nxt = w[n + 1]
+        nxt[1:] = (row[1:]
+                   - lam * v_rows[n, 1:] * (row[1:] - row[:-1])
+                   + grid.dt * (a_row[1:] * row[1:] + f_row[1:]))
+        nxt[0] = float(problem.b(float(times[n + 1])))
+    return w

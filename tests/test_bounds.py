@@ -22,6 +22,7 @@ from transportlab.fields import (
     BoundarySignal,
     Grid,
     InitialProfile,
+    ScalarSignal,
     SpaceTimeField,
     TransportCoefficients,
     VelocityField,
@@ -32,6 +33,7 @@ from transportlab.norms import NormTrace, extremals, heaviside_h
 from transportlab.transport import TransportProblem
 
 import reference_forms
+from reference_forms import Counted
 
 INF = math.inf
 ROOT_HALF_E2M1 = 1.7873242709327608  # sqrt((e^2 - 1)/2)
@@ -321,3 +323,22 @@ def test_bias_rejects_bad_arguments():
         bias_experiment(0.0, 2)
     with pytest.raises(ValueError):
         bias_experiment(0.5, INF)
+
+
+def test_transport_run_samples_the_boundary_and_source_traces_in_bulk():
+    # b is called a fixed number of times whatever nt is: once per solve to
+    # validate it, twice per solve by the fan, once for the trace
+    for nt in (80, 200):
+        grid = Grid(41, 0.8 / nt, 0.8)
+        signal = Counted(BoundarySignal.from_expression("0.3*cos(2*t)").signal)
+        problem = TransportProblem(
+            phi=InitialProfile.from_expression("0.3 + x^2"),
+            b=BoundarySignal(ScalarSignal(signal)),
+            v=VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(t)"),
+            coeffs=TransportCoefficients(
+                a=SpaceTimeField.from_expression("-0.1*x"),
+                f=SpaceTimeField.from_expression("0.2*sin(pi*x*t)^2 + min(x, t)")))
+        run = transport_run(problem, grid)
+        assert signal.calls == 7
+        assert np.array_equal(run.b_trace.values, reference_forms.b_trace(problem, grid))
+        assert np.array_equal(run.f_rows, reference_forms.f_rows(problem, grid))

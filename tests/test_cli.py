@@ -254,6 +254,38 @@ def test_overflowing_gain_reports_json(tmp_path, capsys, p):
     assert not (tmp_path / "slow_cert.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["simulate", "oracle-compare"])
+def test_non_finite_field_reports_json(tmp_path, capsys, mode):
+    # + - * overflow to inf silently: the solve must refuse, not write inf rows
+    src = (TRANSPORT_SRC.replace('phi = "0.3*exp(-x)"', 'phi = "x*1e200*1e200"')
+           .replace("nx = 151", "nx = 51"))
+    path = write(tmp_path, "inf.txt", src)
+    with np.errstate(over="ignore"):
+        rc = cli.main(["run", path, "--mode", mode, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "FieldValidationError"
+    assert report["messages"] == ["solution is not finite at t = 0.0, x = 0.02"]
+    assert "Traceback" not in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["inf.txt"]
+
+
+def test_infinite_speed_reports_json(tmp_path, capsys):
+    # an infinite speed used to reach the CFL step count as inf and end in
+    # an OverflowError traceback
+    src = TRANSPORT_SRC.replace('v = "1 + 0.2*sin(pi*x)"', 'v = "1 + x*1e200*1e200"')
+    path = write(tmp_path, "fast.txt", src)
+    with np.errstate(over="ignore"):
+        rc = cli.main(["run", path, "--mode", "oracle-compare", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "ScenarioError"
+    assert report["messages"] == ["v: velocity is not finite on the grid"]
+    assert "Traceback" not in captured.err
+
+
 def test_missing_file_reports_json(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 2

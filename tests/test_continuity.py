@@ -90,3 +90,12 @@ def test_finite_time_convergence_to_shaped_equilibrium():
     settled = grid.times >= 1.0 + 2.0 * grid.dt
     err = np.max(np.abs(rho.values[settled] - target))
     assert err < 1e-6
+
+
+def test_non_finite_density_rejected():
+    # w = b stays finite on the wall, but rho_s e^w overflows once 1000 t > 709.8
+    grid = Grid(21, 0.05, 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FieldValidationError,
+                           match=r"density is not finite at t = 0\.75, x = 0\.0"):
+            run(1.0, "1", "1000*t", "1", grid)

@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from transportlab.continuity import log_state_problem
 from transportlab.fields import (
+    ROW_BLOCK,
     BoundarySignal,
     FieldValidationError,
     Grid,
     InitialProfile,
+    ScalarSignal,
     SpaceTimeField,
     TransportCoefficients,
     VelocityField,
     check_compatibility_continuity,
     check_compatibility_transport,
 )
+from transportlab.manufacturing import sampled_velocity
+
+import reference_forms
+from reference_forms import Counted
 
 
 def test_grid_basics():
@@ -43,6 +50,9 @@ def test_velocity_positivity_enforced():
     VelocityField.from_expression("1 + 0.5*x").validate_positive(g)
     with pytest.raises(FieldValidationError, match="positive"):
         VelocityField.from_expression("x - 0.5").validate_positive(g)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FieldValidationError, match="not finite"):
+            VelocityField.from_expression("1 + x*1e200*1e200").validate_positive(g)
 
 
 def test_jump_point_validation():
@@ -160,3 +170,44 @@ def test_jump_points_downgrade_regularity():
     # corner is fine but the declared kink caps regularity at C0
     assert rep.value_ok and rep.derivative_ok
     assert rep.regularity == "C0"
+
+
+# --- sampling on the grid ----------------------------------------------------
+
+# 81 rows: not a multiple of the block
+SAMPLED_GRID = Grid(nx=41, dt=0.01, horizon=0.8)
+
+
+def test_validate_finite_calls_the_signal_once_per_grid():
+    signal = Counted(BoundarySignal.from_expression("cos(3*t)").signal)
+    BoundarySignal(ScalarSignal(signal)).validate_finite(SAMPLED_GRID.times)
+    assert signal.calls == 1
+    blowup = Counted(BoundarySignal.from_expression("t*1e200*1e200").signal)
+    with np.errstate(over="ignore"):
+        with pytest.raises(FieldValidationError, match="not finite"):
+            BoundarySignal(ScalarSignal(blowup)).validate_finite(SAMPLED_GRID.times)
+    assert blowup.calls == 1
+
+
+def _fields_to_sample():
+    times = np.linspace(0.0, 0.8, 17)
+    sampled = sampled_velocity(times, 1.0 + 0.2 * np.sin(5.0 * times))
+    slope = log_state_problem(1.0, InitialProfile.from_expression("1 + x"),
+                              BoundarySignal.from_expression("0"),
+                              VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(t)"))
+    return {
+        "expression": SpaceTimeField.from_expression(
+            "1 + 0.2*sin(pi*x*t)^2*exp(-t) + min(x, t)^3"),
+        "constant": SpaceTimeField.constant(1.5),
+        "sampled": sampled.field,
+        "slope": slope.coeffs.f,
+    }
+
+
+@pytest.mark.parametrize("kind", ["expression", "constant", "sampled", "slope"])
+def test_grid_rows_sample_a_block_of_rows_per_call(kind):
+    base = _fields_to_sample()[kind]
+    counted = Counted(base)
+    rows = VelocityField(SpaceTimeField(counted)).grid_rows(SAMPLED_GRID)
+    assert counted.calls == math.ceil((SAMPLED_GRID.nt + 1) / ROW_BLOCK)
+    assert np.array_equal(rows, reference_forms.grid_rows(base, SAMPLED_GRID))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transportlab.bounds import INF, certify
@@ -230,6 +230,8 @@ def test_horizon_and_step_guards():
 
 @settings(max_examples=10, deadline=None)
 @given(c=st.floats(-0.2, 0.2), d=st.floats(0.5, 2.0))
+# residuals 2.9e-6, 8.2e-12 and then 1.1e-16, one ulp of the speed 0.5
+@example(c=6.103515625e-05, d=1.0)
 def test_closed_loop_invariants(c, d):
     sc = scenario(rho0=f"exp({c!r}*x^2*(3 - 2*x))", lam=f"1/({d!r} + W)")
     run = simulate_closed_loop(sc, 0.4, Grid(101, 5e-3, 0.4))

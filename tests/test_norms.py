@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from transportlab.fields import Grid, SpaceTimeField, VelocityField
+from transportlab.fields import ROW_BLOCK, Grid, SpaceTimeField, VelocityField
 from transportlab.norms import (
     Extremals,
     cumulative_trapezoid,
@@ -22,6 +22,7 @@ from transportlab.norms import (
 )
 
 import reference_forms
+from reference_forms import Counted
 
 FINE_XS = np.linspace(0.0, 1.0, 20001)
 
@@ -249,3 +250,17 @@ def test_cumulative_trapezoid_exact_on_piecewise_linear():
     xr = np.sort(rng.uniform(0.0, 2.0, 501))
     yr = rng.normal(size=501)
     assert cumulative_trapezoid(yr, xr)[-1] == pytest.approx(np.trapezoid(yr, xr), rel=1e-12)
+
+
+def test_extremals_sample_a_block_of_rows_per_call():
+    grid = Grid(nx=41, dt=0.01, horizon=0.8)  # 81 rows: not a multiple of the block
+    v = VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(3*t)")
+    a = SpaceTimeField.from_expression("0.2*sin(t) - 0.1*x^2")
+    v_calls, a_calls = Counted(v.field), Counted(a)
+    ext = extremals(VelocityField(SpaceTimeField(v_calls)), grid, SpaceTimeField(a_calls))
+    blocks = math.ceil((grid.nt + 1) / ROW_BLOCK)
+    assert (v_calls.calls, a_calls.calls) == (3 * blocks, blocks)  # v, and v twice for dv/dx
+    vmin, dvdx_max, a_max = reference_forms.extremals(v, grid, a)
+    assert np.array_equal(ext.vmin, vmin)
+    assert np.array_equal(ext.dvdx_max, dvdx_max)
+    assert np.array_equal(ext.a_max, a_max)

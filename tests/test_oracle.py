@@ -1,15 +1,21 @@
 """Upwind scheme sanity: exactness at unit CFL, stability, convergence."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transportlab.fields import Grid
+from transportlab.characteristics import CharacteristicEngine
+from transportlab.fields import (ROW_BLOCK, BoundarySignal, Grid, ScalarSignal,
+                                 SpaceTimeField, TransportCoefficients)
 from transportlab.oracle import OracleError, upwind_solve
 from transportlab.transport import solve_field
 
-from test_transport import problem_of
+import reference_forms
+from reference_forms import Counted
+from test_transport import SMOOTH, problem_of
 
 
 def test_unit_cfl_advects_exactly():
@@ -84,7 +90,22 @@ def test_agrees_with_characteristic_solver():
     ref = solve_field(prob, grid)
     # the data meet the wall compatibly only at zeroth order, so compare
     # away from the separatrix kink
-    r0 = ref.separatrix.at(0.4)
+    r0 = CharacteristicEngine(prob.v, grid).separatrix().at(0.4)
     mask = np.abs(grid.xs - r0) > 0.05
     err = np.max(np.abs(fine.final_row[mask] - ref.final_row[mask]))
     assert err < 5e-3
+
+
+def test_march_samples_the_data_in_bulk():
+    grid = Grid(41, 1e-2, 0.8)  # 81 rows: not a multiple of the block
+    prob = problem_of(**SMOOTH)
+    a, f = Counted(prob.coeffs.a), Counted(prob.coeffs.f)
+    b = Counted(prob.b.signal)
+    counted = problem_of(**SMOOTH)
+    counted.coeffs = TransportCoefficients(a=SpaceTimeField(a), f=SpaceTimeField(f))
+    counted.b = BoundarySignal(ScalarSignal(b))
+    w = upwind_solve(counted, grid)
+    blocks = math.ceil((grid.nt + 1) / ROW_BLOCK)
+    assert (a.calls, f.calls) == (blocks, blocks)
+    assert b.calls == 2  # validation, then the inflow column
+    assert np.array_equal(w.values, reference_forms.upwind_solve(prob, grid))

@@ -74,7 +74,7 @@ def test_initial_row_and_corner():
     assert w.kind == "w"
     assert w.component == "full"
     assert w.values.shape == (grid.nt + 1, grid.nx)
-    assert w.separatrix is not None
+    assert CharacteristicEngine(prob.v, grid).separatrix() is not None
 
 
 SMOOTH = dict(
@@ -104,7 +104,7 @@ def test_decompose_parts_solve_their_own_data():
     grid = Grid(101, 2e-3, 0.4)
     prob = problem_of(**SMOOTH)
     w_b, w_i, _ = decompose(prob, grid)
-    r0 = w_b.separatrix.at(0.4)
+    r0 = CharacteristicEngine(prob.v, grid).separatrix().at(0.4)
     ahead = grid.xs > r0 + 0.02
     behind = grid.xs < r0 - 0.02
     assert np.max(np.abs(w_b.final_row[ahead])) < 1e-14
@@ -145,8 +145,9 @@ def test_kink_propagates_without_smearing():
     xs = grid.xs
     exact = np.where(xs >= 0.2, np.minimum(1.0, 2.0 * (xs - 0.2)), -2.0 * (0.2 - xs))
     assert np.max(np.abs(w.final_row - exact)) < 1e-12
-    assert len(w.loci) == 1
-    assert w.loci[0].start == pytest.approx(0.5)
+    loci = CharacteristicEngine(prob.v, grid).jump_loci(prob.phi.jump_points)
+    assert len(loci) == 1
+    assert loci[0].start == pytest.approx(0.5)
 
 
 def test_reaction_integral_uses_path_samples():
@@ -165,6 +166,32 @@ def test_vanishing_speed_rejected():
     prob = problem_of(v="x")
     with pytest.raises(FieldValidationError):
         solve_field(prob, grid)
+
+
+def test_non_finite_solution_rejected():
+    grid = Grid(51, 1e-2, 0.2)
+    prob = problem_of(v="1", phi="x*1e200*1e200")
+    with np.errstate(over="ignore"):
+        with pytest.raises(FieldValidationError,
+                           match=r"solution is not finite at t = 0\.0, x = 0\.02"):
+            solve_field(prob, grid)
+
+
+def test_solve_field_integrates_no_characteristic_flow(monkeypatch):
+    grid = Grid(101, 2e-3, 0.4)
+    prob = problem_of(**SMOOTH)
+    engine = CharacteristicEngine(prob.v, grid)
+    flows = []
+    flow = engine.flow
+
+    def spied(*args):
+        flows.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(engine, "flow", spied)
+    solve_field(prob, grid, engine)
+    decompose(prob, grid, engine)
+    assert flows == []
 
 
 # --- the engine kept by a problem --------------------------------------------
