@@ -20,7 +20,6 @@ from .fields import (
     FieldValidationError,
     Grid,
     InitialProfile,
-    ScalarProfile,
     SpaceTimeField,
     TransportCoefficients,
     VelocityField,
@@ -35,10 +34,8 @@ def log_state_problem(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
     """The linear transport problem satisfied by w = ln(rho/rho_s)."""
     if not (np.isfinite(rho_s) and rho_s > 0.0):
         raise FieldValidationError(f"setpoint density must be positive, got {rho_s}")
-    phi = InitialProfile(
-        ScalarProfile(lambda x: np.log(np.asarray(rho0(x), dtype=float) / rho_s)),
-        jump_points=rho0.jump_points,
-    )
+    phi = InitialProfile(lambda x: np.log(np.asarray(rho0(x), dtype=float) / rho_s),
+                         rho0.jump_points)
     slope_source = SpaceTimeField(lambda t, x: -v.ddx(t, x))
     return TransportProblem(phi=phi, b=b, v=v,
                             coeffs=TransportCoefficients(f=slope_source))
@@ -62,7 +59,7 @@ def solve_continuity(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
 
 
 def equilibrium_profile(rho_s: float, b_const: float,
-                        v: VelocityField) -> ScalarProfile:
+                        v: VelocityField) -> InitialProfile:
     """Stationary density rho(x) = rho_s e^b v(0) / v(x) for time-invariant v.
 
     A time-varying velocity admits no such profile; sampling v at two times
@@ -77,4 +74,4 @@ def equilibrium_profile(rho_s: float, b_const: float,
             "equilibrium profile requires a time-invariant velocity")
     v0 = float(v(0.0, 0.0))
     scale = rho_s * float(np.exp(b_const)) * v0
-    return ScalarProfile(lambda x: scale / np.asarray(v(0.0, x), dtype=float))
+    return InitialProfile(lambda x: scale / np.asarray(v(0.0, x), dtype=float))

@@ -1,9 +1,12 @@
 """Problem data containers: velocity fields, boundary/initial data, grids.
 
-Scenario inputs arrive as parsed expressions; everything downstream consumes
-them through the thin wrappers here, which add validation and, for fields
-of (t, x), a central-difference ``ddx`` (step ``fd_step``, default 1e-6).
-Corner compatibility checks use one-sided differences with the same step.
+Scenario inputs arrive as parsed expressions or plain callables; one class
+holds each kind of data and adds its validation: ``BoundarySignal`` b(t),
+``InitialProfile`` phi(x) or rho0(x) with its jump points, ``SpaceTimeField``
+a(t, x) and f(t, x), and its subclass ``VelocityField`` v(t, x).  A (t, x)
+field's ``ddx`` is a central difference of step ``FD_STEP`` unless given;
+the corner compatibility checks use one-sided differences of the same step.
+A speed below ``SPEED_FLOOR`` anywhere on the grid is rejected.
 
 Data are sampled on a grid a block of grid times per call (``row_blocks``):
 a field callable must broadcast a column of times against the row of
@@ -23,9 +26,9 @@ import numpy as np
 from .expr import Expression, parse
 
 __all__ = [
+    "FD_STEP",
+    "SPEED_FLOOR",
     "FieldValidationError",
-    "ScalarSignal",
-    "ScalarProfile",
     "SpaceTimeField",
     "VelocityField",
     "BoundarySignal",
@@ -39,7 +42,8 @@ __all__ = [
     "check_compatibility_transport",
 ]
 
-DEFAULT_FD_STEP = 1e-6
+FD_STEP = 1e-6  # finite-difference step of ddx and of the corner checks
+SPEED_FLOOR = 1e-9  # least speed v may take on a grid
 
 
 class FieldValidationError(ValueError):
@@ -52,38 +56,29 @@ def _as_expression(source: Union[str, Expression], allowed_vars) -> Expression:
     return parse(source, allowed_vars=allowed_vars)
 
 
-class ScalarSignal:
-    """A function of time, expression- or callable-backed."""
+class _ScalarData:
+    """A function of the one variable ``variable``, held as a callable."""
 
-    variable = "t"
+    variable: str  # "t" or "x", set by each subclass
 
-    def __init__(self, fn: Callable, fd_step: float = DEFAULT_FD_STEP,
-                 expression: Optional[Expression] = None):
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self.fd_step = fd_step
-        self.expression = expression
 
     @classmethod
-    def from_expression(cls, source: Union[str, Expression],
-                        fd_step: float = DEFAULT_FD_STEP) -> "ScalarSignal":
+    def from_expression(cls, source: Union[str, Expression], *args, **kwargs):
+        """Parse ``source`` in ``cls.variable``; the other arguments go to the
+        constructor."""
         name = cls.variable
         e = _as_expression(source, (name,))
-        return cls(lambda s: e(**{name: s}), fd_step, e)
+        return cls(lambda s: e(**{name: s}), *args, **kwargs)
 
     @classmethod
-    def constant(cls, value: float) -> "ScalarSignal":
+    def constant(cls, value: float):
         v = float(value)
-        return cls(lambda s: v * np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else v,
-                   DEFAULT_FD_STEP)
+        return cls(lambda s: v * np.ones_like(np.asarray(s, dtype=float)) if np.ndim(s) else v)
 
     def __call__(self, s):
         return self._fn(s)
-
-
-class ScalarProfile(ScalarSignal):
-    """A function of position on [0, 1]; the same wrapper as ScalarSignal."""
-
-    variable = "x"
 
 
 def _filled(v: float) -> Callable:
@@ -100,25 +95,20 @@ def _filled(v: float) -> Callable:
 
 
 class SpaceTimeField:
-    """A function of (t, x); ``ddx`` is a central difference unless overridden."""
+    """A function of (t, x); ``ddx`` is a central difference unless given."""
 
-    def __init__(self, fn: Callable, fd_step: float = DEFAULT_FD_STEP,
-                 expression: Optional[Expression] = None,
-                 ddx_fn: Optional[Callable] = None):
+    def __init__(self, fn: Callable, ddx_fn: Optional[Callable] = None):
         self._fn = fn
-        self.fd_step = fd_step
-        self.expression = expression
         self._ddx = ddx_fn
 
     @classmethod
-    def from_expression(cls, source: Union[str, Expression],
-                        fd_step: float = DEFAULT_FD_STEP) -> "SpaceTimeField":
+    def from_expression(cls, source: Union[str, Expression]) -> "SpaceTimeField":
         e = _as_expression(source, ("t", "x"))
-        return cls(lambda t, x: e(t=t, x=x), fd_step, e)
+        return cls(lambda t, x: e(t=t, x=x))
 
     @classmethod
     def constant(cls, value: float) -> "SpaceTimeField":
-        return cls(_filled(float(value)), DEFAULT_FD_STEP, ddx_fn=_filled(0.0))
+        return cls(_filled(float(value)), ddx_fn=_filled(0.0))
 
     @classmethod
     def zero(cls) -> "SpaceTimeField":
@@ -130,41 +120,21 @@ class SpaceTimeField:
     def ddx(self, t, x):
         if self._ddx is not None:
             return self._ddx(t, x)
-        h = self.fd_step
+        h = FD_STEP
         return (self._fn(t, x + h) - self._fn(t, x - h)) / (2 * h)
 
 
-@dataclass
-class VelocityField:
-    """Transport speed v(t, x); must stay above ``floor`` on the grid.
+class VelocityField(SpaceTimeField):
+    """Transport speed v(t, x); must stay at or above ``SPEED_FLOOR`` on the grid.
 
-    ``field`` must be a pure function of (t, x): the rows of v on a grid are
+    ``fn`` must be a pure function of (t, x): the rows of v on a grid are
     evaluated once and kept, read-only, for the latest grid asked for (see
     ``grid_rows``).
     """
 
-    field: SpaceTimeField
-    floor: float = 1e-9
-
-    def __post_init__(self):
-        if not self.floor > 0:
-            raise FieldValidationError("positivity floor must be > 0")
+    def __init__(self, fn: Callable, ddx_fn: Optional[Callable] = None):
+        super().__init__(fn, ddx_fn)
         self._rows = None  # (grid, rows) of the latest grid_rows call
-
-    @classmethod
-    def from_expression(cls, source, fd_step: float = DEFAULT_FD_STEP,
-                        floor: float = 1e-9) -> "VelocityField":
-        return cls(SpaceTimeField.from_expression(source, fd_step), floor)
-
-    @classmethod
-    def constant(cls, value: float) -> "VelocityField":
-        return cls(SpaceTimeField.constant(value))
-
-    def __call__(self, t, x):
-        return self.field(t, x)
-
-    def ddx(self, t, x):
-        return self.field.ddx(t, x)
 
     def grid_rows(self, grid: "Grid") -> np.ndarray:
         """v at every grid node, shape (nt + 1, nx), one row per grid time.
@@ -172,7 +142,7 @@ class VelocityField:
         Read-only; evaluated once and reused until another grid is asked for.
         """
         if self._rows is None or self._rows[0] != grid:
-            rows = sample_grid(self.field, grid)
+            rows = sample_grid(self._fn, grid)
             rows.flags.writeable = False
             self._rows = (grid, rows)
         return self._rows[1]
@@ -182,65 +152,40 @@ class VelocityField:
         is not finite."""
         rows = self.grid_rows(grid)
         vmin = float(np.min(rows))
-        if not vmin >= self.floor:
+        if not vmin >= SPEED_FLOOR:
             raise FieldValidationError(
-                f"velocity must be positive on the grid (min {vmin:.3e} < floor {self.floor:.1e})")
+                f"velocity must be positive on the grid (min {vmin:.3e} < floor {SPEED_FLOOR:.1e})")
         if not np.max(rows) < math.inf:
             raise FieldValidationError("velocity is not finite on the grid")
         return vmin
 
 
-@dataclass
-class BoundarySignal:
-    """Boundary data at x = 0."""
+class BoundarySignal(_ScalarData):
+    """Boundary data b(t) at x = 0."""
 
-    signal: ScalarSignal
-
-    @classmethod
-    def from_expression(cls, source, fd_step: float = DEFAULT_FD_STEP) -> "BoundarySignal":
-        return cls(ScalarSignal.from_expression(source, fd_step))
-
-    @classmethod
-    def constant(cls, value: float) -> "BoundarySignal":
-        return cls(ScalarSignal.constant(value))
-
-    def __call__(self, t):
-        return self.signal(t)
+    variable = "t"
 
     def validate_finite(self, times: np.ndarray):
-        if not np.all(np.isfinite(self.signal(np.asarray(times, dtype=float)))):
+        if not np.all(np.isfinite(self._fn(np.asarray(times, dtype=float)))):
             raise FieldValidationError("boundary signal is not finite on the grid")
 
 
-@dataclass
-class InitialProfile:
-    """Initial data with optional interior points where it leaves C^1."""
+class InitialProfile(_ScalarData):
+    """Initial data on [0, 1] with optional interior points where it leaves C^1."""
 
-    profile: ScalarProfile
-    jump_points: tuple = ()
+    variable = "x"
 
-    def __post_init__(self):
-        pts = tuple(float(p) for p in self.jump_points)
+    def __init__(self, fn: Callable, jump_points: Sequence[float] = ()):
+        super().__init__(fn)
+        pts = tuple(float(p) for p in jump_points)
         if list(pts) != sorted(set(pts)):
             raise FieldValidationError("jump points must be sorted and distinct")
         if any(not (0.0 < p < 1.0) for p in pts):
             raise FieldValidationError("jump points must lie strictly inside (0, 1)")
         self.jump_points = pts
 
-    @classmethod
-    def from_expression(cls, source, jump_points: Sequence[float] = (),
-                        fd_step: float = DEFAULT_FD_STEP) -> "InitialProfile":
-        return cls(ScalarProfile.from_expression(source, fd_step), tuple(jump_points))
-
-    @classmethod
-    def constant(cls, value: float) -> "InitialProfile":
-        return cls(ScalarProfile.constant(value))
-
-    def __call__(self, x):
-        return self.profile(x)
-
     def validate_positive(self, xs: np.ndarray):
-        vals = np.asarray(self.profile(np.asarray(xs, dtype=float)), dtype=float)
+        vals = np.asarray(self._fn(np.asarray(xs, dtype=float)), dtype=float)
         if not np.all(vals > 0):
             raise FieldValidationError("initial density must be positive on the grid")
 
@@ -357,8 +302,9 @@ def _classified(value_residual, derivative_residual, jump_points, tol):
                                value_ok, derivative_ok, regularity, tol)
 
 
-def _one_sided(fn: Callable, at: float, h: float) -> float:
-    return (float(fn(at + h)) - float(fn(at))) / h
+def _one_sided(fn: Callable, at: float) -> float:
+    """Forward difference of step ``FD_STEP``."""
+    return (float(fn(at + FD_STEP)) - float(fn(at))) / FD_STEP
 
 
 def check_compatibility_continuity(rho_s: float, rho0: InitialProfile,
@@ -368,15 +314,14 @@ def check_compatibility_continuity(rho_s: float, rho0: InitialProfile,
 
     Value: rho_s * exp(b(0)) = rho0(0).  Slope: the boundary flux matches the
     initial flux, i.e. db/dt(0) + d(v)/dx(0,0) + v(0,0) * rho0'(0)/rho0(0) = 0.
-    One-sided differences, step = each field's fd_step; the default tol sits
+    One-sided differences of step ``FD_STEP``; the default tol sits
     above their O(step) truncation error so exact data classifies as C1.
     """
     rho00 = float(rho0(0.0))
     value_residual = abs(rho_s * math.exp(float(b(0.0))) - rho00)
-    db = _one_sided(b.signal, 0.0, b.signal.fd_step)
-    drho = _one_sided(rho0.profile, 0.0, rho0.profile.fd_step)
-    h = v.field.fd_step
-    dvdx = (float(v(0.0, h)) - float(v(0.0, 0.0))) / h
+    db = _one_sided(b, 0.0)
+    drho = _one_sided(rho0, 0.0)
+    dvdx = (float(v(0.0, FD_STEP)) - float(v(0.0, 0.0))) / FD_STEP
     derivative_residual = abs(db + dvdx + float(v(0.0, 0.0)) * drho / rho00)
     return _classified(value_residual, derivative_residual, rho0.jump_points, tol)
 
@@ -393,8 +338,8 @@ def check_compatibility_transport(phi: InitialProfile, b: BoundarySignal,
     b0 = float(b(0.0))
     phi0 = float(phi(0.0))
     value_residual = abs(b0 - phi0)
-    db = _one_sided(b.signal, 0.0, b.signal.fd_step)
-    dphi = _one_sided(phi.profile, 0.0, phi.profile.fd_step)
+    db = _one_sided(b, 0.0)
+    dphi = _one_sided(phi, 0.0)
     derivative_residual = abs(
         db + float(v(0.0, 0.0)) * dphi
         - float(coeffs.a(0.0, 0.0)) * b0 - float(coeffs.f(0.0, 0.0)))

@@ -28,8 +28,8 @@ from .bounds import INF, TrajectoryRun
 from .characteristics import CharacteristicEngine
 from .continuity import solve_continuity
 from .expr import Expression, parse
-from .fields import (BoundarySignal, Grid, InitialProfile, SpaceTimeField,
-                     VelocityField)
+from .fields import (FD_STEP, BoundarySignal, Grid, InitialProfile,
+                     VelocityField, _filled)
 from .norms import NormTrace, cumulative_trapezoid
 from .transport import SolutionField
 
@@ -68,8 +68,9 @@ def _fd_max(values: np.ndarray, pts: np.ndarray) -> float:
     return float(np.max(np.abs(np.diff(values) / np.diff(pts))))
 
 
-def _one_sided_slope(fn, at: float, h: float = 1e-6) -> float:
+def _one_sided_slope(fn, at: float) -> float:
     # second-order forward difference; stays inside the domain
+    h = FD_STEP
     return float(-3.0 * fn(at) + 4.0 * fn(at + h) - fn(at + 2 * h)) / (2 * h)
 
 
@@ -351,11 +352,7 @@ def sampled_velocity(times: np.ndarray, values: np.ndarray) -> VelocityField:
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
         return val * np.ones(shape) if shape else float(val)
 
-    def slope(t, x):
-        shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-        return np.zeros(shape) if shape else 0.0
-
-    return VelocityField(SpaceTimeField(fn, ddx_fn=slope))
+    return VelocityField(fn, _filled(0.0))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .bounds import (_KIND_OF, INF, TrajectoryRun, canonical_estimate,
                      continuity_run, transport_run)
 from .continuity import solve_continuity
 from .expr import ExpressionError, parse
-from .fields import (BoundarySignal, FieldValidationError, Grid,
+from .fields import (FD_STEP, BoundarySignal, FieldValidationError, Grid,
                      InitialProfile, SpaceTimeField, TransportCoefficients,
                      VelocityField, _one_sided)
 from .manufacturing import (ClosedLoopRun, ManufacturingError,
@@ -365,8 +365,8 @@ def random_continuity_scenario(rng, nx: int = 400, dt: float = 2.5e-3,
 
     v = VelocityField.from_expression(v_expr)
     b = BoundarySignal.from_expression(b_expr)
-    h = 1e-6
-    db = _one_sided(b, 0.0, h)
+    h = FD_STEP
+    db = _one_sided(b, 0.0)
     dvdx = (float(v(0.0, h)) - float(v(0.0, 0.0))) / h
     s_target = -(db + dvdx) / float(v(0.0, 0.0))
     s0 = math.log1p(s_target * h) / h  # checker's forward difference hits s_target
@@ -399,7 +399,7 @@ def random_transport_scenario(rng, nx: int = 400, dt: float = 2.5e-3,
     af = SpaceTimeField.from_expression(a_expr)
     ff = SpaceTimeField.from_expression(f_expr)
     phi0 = float(phi(0.0))
-    dphi = _one_sided(phi, 0.0, 1e-6)
+    dphi = _one_sided(phi, 0.0)
     sb = float(af(0.0, 0.0)) * phi0 + float(ff(0.0, 0.0)) \
         - float(v(0.0, 0.0)) * dphi
     beta = rng.uniform(0.0, 0.15)

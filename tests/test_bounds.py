@@ -22,7 +22,6 @@ from transportlab.fields import (
     BoundarySignal,
     Grid,
     InitialProfile,
-    ScalarSignal,
     SpaceTimeField,
     TransportCoefficients,
     VelocityField,
@@ -330,10 +329,10 @@ def test_transport_run_samples_the_boundary_and_source_traces_in_bulk():
     # validate it, twice per solve by the fan, once for the trace
     for nt in (80, 200):
         grid = Grid(41, 0.8 / nt, 0.8)
-        signal = Counted(BoundarySignal.from_expression("0.3*cos(2*t)").signal)
+        signal = Counted(BoundarySignal.from_expression("0.3*cos(2*t)"))
         problem = TransportProblem(
             phi=InitialProfile.from_expression("0.3 + x^2"),
-            b=BoundarySignal(ScalarSignal(signal)),
+            b=BoundarySignal(signal),
             v=VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(t)"),
             coeffs=TransportCoefficients(
                 a=SpaceTimeField.from_expression("-0.1*x"),

@@ -74,6 +74,18 @@ def test_equilibrium_profile_formulas():
     assert np.max(np.abs(scaled(xs) - 12.0 / (2.0 - xs))) < 1e-12
 
 
+def test_equilibrium_profile_seeds_a_stationary_run():
+    # the profile is an InitialProfile, so it can start a continuity run; the
+    # run stays on it up to the solver's interpolation error (2.25e-5 at this
+    # grid), bounded here at 5e-5
+    v = VelocityField.from_expression("1 + 0.5*x")
+    grid = Grid(41, 0.01, 1.0)
+    profile = equilibrium_profile(1.0, 0.2, v)
+    rho = solve_continuity(1.0, profile, BoundarySignal.constant(0.2), v, grid)
+    assert np.array_equal(rho.values[0], profile(grid.xs))
+    assert np.max(np.abs(rho.values - rho.values[0])) < 5e-5
+
+
 def test_equilibrium_profile_rejects_time_varying_velocity():
     with pytest.raises(FieldValidationError):
         equilibrium_profile(1.0, 0.0, VelocityField.from_expression("1 + 0.1*t"))

@@ -6,11 +6,11 @@ import pytest
 from transportlab.continuity import log_state_problem
 from transportlab.fields import (
     ROW_BLOCK,
+    SPEED_FLOOR,
     BoundarySignal,
     FieldValidationError,
     Grid,
     InitialProfile,
-    ScalarSignal,
     SpaceTimeField,
     TransportCoefficients,
     VelocityField,
@@ -53,6 +53,13 @@ def test_velocity_positivity_enforced():
     with np.errstate(over="ignore"):
         with pytest.raises(FieldValidationError, match="not finite"):
             VelocityField.from_expression("1 + x*1e200*1e200").validate_positive(g)
+
+
+def test_velocity_floor_is_the_least_speed_allowed():
+    g = Grid(nx=21, dt=0.1, horizon=0.5)
+    assert VelocityField.constant(SPEED_FLOOR).validate_positive(g) == SPEED_FLOOR
+    with pytest.raises(FieldValidationError, match=r"< floor 1\.0e-09"):
+        VelocityField.constant(SPEED_FLOOR / 2).validate_positive(g)
 
 
 def test_jump_point_validation():
@@ -179,13 +186,13 @@ SAMPLED_GRID = Grid(nx=41, dt=0.01, horizon=0.8)
 
 
 def test_validate_finite_calls_the_signal_once_per_grid():
-    signal = Counted(BoundarySignal.from_expression("cos(3*t)").signal)
-    BoundarySignal(ScalarSignal(signal)).validate_finite(SAMPLED_GRID.times)
+    signal = Counted(BoundarySignal.from_expression("cos(3*t)"))
+    BoundarySignal(signal).validate_finite(SAMPLED_GRID.times)
     assert signal.calls == 1
-    blowup = Counted(BoundarySignal.from_expression("t*1e200*1e200").signal)
+    blowup = Counted(BoundarySignal.from_expression("t*1e200*1e200"))
     with np.errstate(over="ignore"):
         with pytest.raises(FieldValidationError, match="not finite"):
-            BoundarySignal(ScalarSignal(blowup)).validate_finite(SAMPLED_GRID.times)
+            BoundarySignal(blowup).validate_finite(SAMPLED_GRID.times)
     assert blowup.calls == 1
 
 
@@ -199,7 +206,7 @@ def _fields_to_sample():
         "expression": SpaceTimeField.from_expression(
             "1 + 0.2*sin(pi*x*t)^2*exp(-t) + min(x, t)^3"),
         "constant": SpaceTimeField.constant(1.5),
-        "sampled": sampled.field,
+        "sampled": sampled,
         "slope": slope.coeffs.f,
     }
 
@@ -208,6 +215,6 @@ def _fields_to_sample():
 def test_grid_rows_sample_a_block_of_rows_per_call(kind):
     base = _fields_to_sample()[kind]
     counted = Counted(base)
-    rows = VelocityField(SpaceTimeField(counted)).grid_rows(SAMPLED_GRID)
+    rows = VelocityField(counted).grid_rows(SAMPLED_GRID)
     assert counted.calls == math.ceil((SAMPLED_GRID.nt + 1) / ROW_BLOCK)
     assert np.array_equal(rows, reference_forms.grid_rows(base, SAMPLED_GRID))

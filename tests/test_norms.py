@@ -256,8 +256,8 @@ def test_extremals_sample_a_block_of_rows_per_call():
     grid = Grid(nx=41, dt=0.01, horizon=0.8)  # 81 rows: not a multiple of the block
     v = VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(3*t)")
     a = SpaceTimeField.from_expression("0.2*sin(t) - 0.1*x^2")
-    v_calls, a_calls = Counted(v.field), Counted(a)
-    ext = extremals(VelocityField(SpaceTimeField(v_calls)), grid, SpaceTimeField(a_calls))
+    v_calls, a_calls = Counted(v), Counted(a)
+    ext = extremals(VelocityField(v_calls), grid, SpaceTimeField(a_calls))
     blocks = math.ceil((grid.nt + 1) / ROW_BLOCK)
     assert (v_calls.calls, a_calls.calls) == (3 * blocks, blocks)  # v, and v twice for dv/dx
     vmin, dvdx_max, a_max = reference_forms.extremals(v, grid, a)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transportlab.characteristics import CharacteristicEngine
-from transportlab.fields import (ROW_BLOCK, BoundarySignal, Grid, ScalarSignal,
-                                 SpaceTimeField, TransportCoefficients)
+from transportlab.fields import (ROW_BLOCK, BoundarySignal, Grid, SpaceTimeField,
+                                 TransportCoefficients)
 from transportlab.oracle import OracleError, upwind_solve
 from transportlab.transport import solve_field
 
@@ -100,10 +100,10 @@ def test_march_samples_the_data_in_bulk():
     grid = Grid(41, 1e-2, 0.8)  # 81 rows: not a multiple of the block
     prob = problem_of(**SMOOTH)
     a, f = Counted(prob.coeffs.a), Counted(prob.coeffs.f)
-    b = Counted(prob.b.signal)
+    b = Counted(prob.b)
     counted = problem_of(**SMOOTH)
     counted.coeffs = TransportCoefficients(a=SpaceTimeField(a), f=SpaceTimeField(f))
-    counted.b = BoundarySignal(ScalarSignal(b))
+    counted.b = BoundarySignal(b)
     w = upwind_solve(counted, grid)
     blocks = math.ceil((grid.nt + 1) / ROW_BLOCK)
     assert (a.calls, f.calls) == (blocks, blocks)

@@ -261,7 +261,7 @@ def test_members_past_the_wall_stop_being_stepped():
             return np.full(x.shape, 4.0)
         return 4.0
 
-    v = VelocityField(SpaceTimeField(speed))
+    v = VelocityField(speed)
     v.grid_rows(grid)  # the grid rows are kept; what follows is the fan's RK4
     stepped.clear()
     prob = TransportProblem(phi=InitialProfile.from_expression("x"),
