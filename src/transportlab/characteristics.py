@@ -105,7 +105,7 @@ class CharacteristicEngine:
     def _speed(self, t, x):
         if isinstance(x, float):
             return self.v(t, min(max(x, 0.0), 1.0))
-        return self.v(t, np.clip(x, 0.0, 1.0))
+        return self.v(t, x.clip(0.0, 1.0))
 
     def _rk4(self, t, x, h):
         f = self._speed

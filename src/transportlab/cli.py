@@ -61,7 +61,7 @@ def _field_lines(state) -> Iterator[str]:
     xs = [_fmt(x) for x in state.xs]
     for t, row in zip(state.times, state.values):
         ts = _fmt(t)
-        yield from (f"{ts},{x},{_fmt(val)}" for x, val in zip(xs, row))
+        yield from (f"{ts},{x},{val}" for x, val in zip(xs, map(repr, row.tolist())))
 
 
 def _mode_simulate(sc: Scenario, out: str) -> Tuple[List[str], bool]:

@@ -320,11 +320,15 @@ def _compile(root: Node):
     operand types: results are bit-identical to walking the tree, and
     straight-line code has no nesting limit.  Constants and variable names
     live in the function's globals rather than in its source, and each
-    variable is looked up once, at its first use.
+    variable is looked up once, at its first use.  Each intermediate has one
+    consumer, so its name is reused once that consumer is emitted: a call
+    holds only the intermediates still live, not one array per node.
     """
     namespace = dict(_RUNTIME)
     lines: list[str] = []
     slots: dict[str, str] = {}
+    temps: set[str] = set()
+    free: list[str] = []
 
     def emit(node: Node) -> str:
         if isinstance(node, Num):
@@ -339,14 +343,19 @@ def _compile(root: Node):
                 lines.append(f"{slots[node.name]} = _binding(env, {key})")
             return slots[node.name]
         if isinstance(node, Neg):
-            code = f"-{emit(node.arg)}"
+            args = [emit(node.arg)]
+            code = f"-{args[0]}"
         elif isinstance(node, BinOp) and node.op in _BINOPS:
-            code = _BINOPS[node.op].format(emit(node.left), emit(node.right))
+            args = [emit(node.left), emit(node.right)]
+            code = _BINOPS[node.op].format(*args)
         elif isinstance(node, Call) and f"_fn_{node.func}" in _RUNTIME:
-            code = f"_fn_{node.func}({', '.join(emit(a) for a in node.args)})"
+            args = [emit(a) for a in node.args]
+            code = f"_fn_{node.func}({', '.join(args)})"
         else:
             raise TypeError(f"unknown node {node!r}")
-        out = f"_r{len(lines)}"
+        free.extend(a for a in args if a in temps)
+        out = free.pop() if free else f"_r{len(temps)}"
+        temps.add(out)
         lines.append(f"{out} = {code}")
         return out
 

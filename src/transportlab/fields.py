@@ -8,10 +8,11 @@ field's ``ddx`` is a central difference of step ``FD_STEP`` unless given;
 the corner compatibility checks use one-sided differences of the same step.
 A speed below ``SPEED_FLOOR`` anywhere on the grid is rejected.
 
-Data are sampled on a grid a block of grid times per call (``row_blocks``):
-a field callable must broadcast a column of times against the row of
-nodes, and a time signal must accept an array of times.  The expression,
-constant, sampled and slope fields all do.
+Data are sampled on a grid a block of grid times per call (``row_blocks``),
+and the transport fan reads a and f a block of ``ROW_BLOCK`` steps per call:
+a field callable must broadcast a column of times against a row of nodes or
+a block of positions, one row per time, and a time signal must accept an
+array of times.  The expression, constant, sampled and slope fields all do.
 """
 
 from __future__ import annotations

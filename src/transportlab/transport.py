@@ -25,7 +25,8 @@ transfer to the grid.  Both routes share one RK4 stepper and one
 quadrature rule; the fan costs O(rows x members) instead of O(nodes) root
 finds, which keeps full space-time fields tractable.  Of the members that
 left the strip, only the first one past the wall is kept, as the right
-bracket of the nodes near x = 1.
+bracket of the nodes near x = 1.  The fan evaluates a and f once per block
+of ``ROW_BLOCK`` steps, with the sums of single steps, term for term.
 
 Nodes lying exactly on a jump locus (the separatrix included) take the
 left-limit value, matching the left-continuity convention for piecewise
@@ -44,6 +45,7 @@ import numpy as np
 
 from .characteristics import CharacteristicEngine
 from .fields import (
+    ROW_BLOCK,
     BoundarySignal,
     FieldValidationError,
     Grid,
@@ -178,6 +180,12 @@ class _Fan:
     window [first, stop), from the latest boundary member to the first one
     past the wall: the flow keeps order, so that member is the right bracket
     for nodes near x = 1, and the ones after it are never read again.
+
+    Positions depend on v alone, so a block of ``ROW_BLOCK`` RK4 steps runs
+    first, then one call of a and one of f cover the block's rows on the
+    union of their windows.  The union adds members not yet injected, at
+    x = 0, and members past the wall, clamped to x = 1, where each row
+    evaluates anyway; their increments are zero.
     """
 
     def __init__(self, problem: TransportProblem, grid: Grid,
@@ -207,12 +215,10 @@ class _Fan:
         if include_phi:
             self.w0[K + 1:] = np.asarray(problem.phi(feet), dtype=float)
         # boundary member injected at t = 0, and the data of the one injected
-        # by each step, at the step's end time
-        self.include_b = include_b
+        # by each step k, member K - 1 - k, at the step's end time
         if include_b:
             self.w0[K] = float(problem.b(0.0))
-            self._b_ends = np.asarray(problem.b(grid.times[:-1] + grid.dt),
-                                      dtype=float) * np.ones(K)
+            self.w0[K - 1::-1] = problem.b(grid.times[:-1] + grid.dt)
 
         # jump-point member indices define the segment fences
         locus_feet = [0.0] + list(problem.phi.jump_points)
@@ -221,68 +227,92 @@ class _Fan:
         ends = self.locus_idx[1:] + [M - 1]
         self.segments = list(zip(starts, ends))
 
-        self._a_cur = self._field_row(problem.coeffs.a, 0.0)
-        self._f_cur = self._field_row(problem.coeffs.f, 0.0)
+        self._latest = np.zeros((2, M))  # a and f of the latest row, by member
+        x = np.clip(self.X[K:], 0.0, 1.0)
+        self._latest[0, K:] = problem.coeffs.a(0.0, x)
+        self._latest[1, K:] = problem.coeffs.f(0.0, x)
 
-    def _field_row(self, f, t):
-        """f at the members of the active window."""
-        row = np.empty(self.stop - self.first)
-        row[:] = f(t, np.clip(self.X[self.first:self.stop], 0.0, 1.0))
-        return row
+    def first_row(self, out: np.ndarray):
+        """Interpolate the member values at t = 0 onto the grid nodes."""
+        w = self.w0[self.first:self.stop] + self.Fq[self.first:self.stop]
+        self._interpolate(out, self.X, np.exp(self.A[self.first:self.stop]) * w,
+                          self.first, self.stop)
 
-    def step(self, k: int):
-        """Advance the window from row k to k+1 and inject the new boundary member."""
+    def advance(self, k0: int, out: np.ndarray):
+        """Step rows k0 .. k0 + B, injecting a boundary member at the wall on
+        each step, and interpolate rows k0 + 1 .. k0 + B into ``out`` (B rows)."""
         h = self.grid.dt
-        t0r = float(self.grid.times[k])
-        t1r = t0r + h
-        lo = self.first
-        self.X[lo:self.stop] = self.engine._rk4(t0r, self.X[lo:self.stop], h)
-        past = lo + int(np.searchsorted(self.X[lo:self.stop], 1.0, side="right"))
-        self.stop = hi = min(self.stop, past + 1)
-        act = slice(lo, hi)
-        # inject the boundary member for row k+1 at the wall before the row
-        # evaluations of a and f, which then cover it; it starts integrating
-        # at the next step
-        idx = self.K - (k + 1)
-        self.first = idx
-        self.X[idx] = 0.0
-        self.A[idx] = 0.0
-        self.Fq[idx] = 0.0
-        if self.include_b:
-            self.w0[idx] = self._b_ends[k]
-        a_new = self._field_row(self.problem.coeffs.a, t1r)
-        f_new = self._field_row(self.problem.coeffs.f, t1r)
-        n = hi - lo
-        a_old = self.A[act]
-        a_step = 0.5 * h * (self._a_cur[:n] + a_new[1:])
-        if self.include_f:
-            self.Fq[act] += 0.5 * h * (
-                np.exp(-a_old) * self._f_cur[:n]
-                + np.exp(-(a_old + a_step)) * f_new[1:])
-        self.A[act] += a_step
-        self._a_cur = a_new
-        self._f_cur = f_new
+        B = len(out)
+        L, S = self.K - (k0 + B), self.stop  # the union window [L, S)
+        X = np.empty((B, len(self.X)))
+        act = np.empty((B, 2), dtype=int)    # the window each step integrates
+        for j in range(B):
+            lo = self.first
+            self.X[lo:self.stop] = self.engine._rk4(
+                float(self.grid.times[k0 + j]), self.X[lo:self.stop], h)
+            past = lo + int(np.searchsorted(self.X[lo:self.stop], 1.0, side="right"))
+            self.stop = min(self.stop, past + 1)
+            act[j] = lo, self.stop
+            self.first = lo - 1  # the member injected at x = 0
+            X[j] = self.X
 
-    def eval_row(self, out: np.ndarray):
-        """Interpolate member values onto the grid nodes for the current row."""
+        times = self.grid.times[k0:k0 + B, None] + h
+        x = np.clip(X[:, L:S], 0.0, 1.0)
+        rows = np.empty((2, B + 1, S - L))  # a and f, after the latest row
+        rows[:, 0] = self._latest[:, L:S]
+        rows[0, 1:] = self.problem.coeffs.a(times, x)
+        rows[1, 1:] = self.problem.coeffs.f(times, x)
+        self._latest[:, L:S] = rows[:, -1]
+        a, f = rows
+        del x
+        cols = np.arange(L, S)
+        idle = (cols < act[:, :1]) | (cols >= act[:, 1:])
+
+        A = self._integrated(self.A[L:S], a, h, idle)
+        self.A[L:S] = A[-1]
+        Fq = self.Fq[L:S]
+        if self.include_f:
+            f *= np.exp(-A)
+            Fq = self._integrated(Fq, f, h, idle)[1:]
+            self.Fq[L:S] = Fq[-1]
+        del rows, a, f
+        w = np.exp(A[1:])
+        w *= self.w0[L:S] + Fq
+        for j in range(B):
+            lo, hi = L + (B - 1 - j), act[j, 1]
+            self._interpolate(out[j], X[j], w[j, lo - L:hi - L], lo, hi)
+
+    @staticmethod
+    def _integrated(start, g, h, idle):
+        """Running trapezoid sums over the block's steps: row 0 is ``start``,
+        and row j + 1 adds 0.5 h (g[j] + g[j + 1]) where the member steps.
+        Sums run row after row, as the += of single steps would."""
+        out = np.empty_like(g)
+        out[0] = start
+        np.add(g[:-1], g[1:], out=out[1:])
+        out[1:] *= 0.5 * h
+        out[1:][idle] = 0.0
+        return np.cumsum(out, axis=0, out=out)
+
+    def _interpolate(self, out, X, w, lo, hi):
+        """Interpolate the values w of members [lo, hi), at positions X[lo:hi],
+        onto the grid nodes."""
         xs = self.grid.xs
-        lo, hi = self.first, self.stop
-        w = np.exp(self.A[lo:hi]) * (self.w0[lo:hi] + self.Fq[lo:hi])
-        fences = np.minimum(self.X[self.locus_idx], 1.0)
-        fences[0] = min(self.X[self.i_sep_left], 1.0)
+        fences = np.minimum(X[self.locus_idx], 1.0)
+        fences[0] = min(X[self.i_sep_left], 1.0)
         node_seg = np.searchsorted(fences, xs, side="left")
 
         # segment 0: boundary members injected so far (reverse injection
         # order); each segment ends at the window's end at the latest
         end = min(self.K + 1, hi)
-        self._fill(out, xs, node_seg == 0, self.X[lo:end], w[:end - lo])
+        self._fill(out, xs, node_seg == 0, X[lo:end], w[:end - lo])
         # interior segments between consecutive jump loci
         for j, (i0, i1) in enumerate(self.segments, start=1):
             mask = node_seg == j
             if not np.any(mask):
                 continue
             end = min(i1 + 1, hi)
-            self._fill(out, xs, mask, self.X[i0:end], w[i0 - lo:end - lo])
+            self._fill(out, xs, mask, X[i0:end], w[i0 - lo:end - lo])
 
     @staticmethod
     def _fill(out, xs, mask, pos, vals):
@@ -307,10 +337,9 @@ def solve_field(problem: TransportProblem, grid: Grid,
     engine = engine or CharacteristicEngine(problem.v, grid)
     fan = _Fan(problem, grid, engine, include_phi, include_b, include_f)
     values = np.empty((grid.nt + 1, grid.nx))
-    fan.eval_row(values[0])
-    for k in range(grid.nt):
-        fan.step(k)
-        fan.eval_row(values[k + 1])
+    fan.first_row(values[0])
+    for k in range(0, grid.nt, ROW_BLOCK):
+        fan.advance(k, values[k + 1:k + 1 + ROW_BLOCK])
     return SolutionField(
         grid=grid,
         times=grid.times,

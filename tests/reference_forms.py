@@ -3,7 +3,9 @@
 Each evaluates one time or one row on its own, the way the certifier did
 before it computed norms and fading-memory maxima for all times at once,
 and the way the problem data were sampled before the blocked sampler.
-``Counted`` counts the calls a field or signal receives.
+``fan_values`` is the characteristic fan as it ran before it evaluated a
+and f a block of steps at a time.  ``Counted`` counts the calls a field or
+signal receives.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from transportlab.bounds import boundary_coefficient, mu_is_valid
+from transportlab.characteristics import CharacteristicEngine
 from transportlab.norms import heaviside_h
 
 INF = math.inf
@@ -138,3 +141,76 @@ def upwind_solve(problem, grid):
                    + grid.dt * (a_row[1:] * row[1:] + f_row[1:]))
         nxt[0] = float(problem.b(float(times[n + 1])))
     return w
+
+
+def fan_values(problem, grid, include_phi=True, include_b=True, include_f=True):
+    """The fan field, one step and one row of a and f at a time.
+
+    Members: boundary members K - 1 .. 0 injected at x = 0 by steps 0 .. K - 1,
+    the separatrix K, then the initial members at the grid nodes and jump
+    points; each step integrates [first, stop), from the latest injection to
+    the first member past the wall.
+    """
+    K, h, xs = grid.nt, grid.dt, grid.xs
+    rk4 = CharacteristicEngine(problem.v, grid)._rk4
+    a_fn, f_fn = problem.coeffs.a, problem.coeffs.f
+    feet = np.unique(np.concatenate([xs, np.asarray(problem.phi.jump_points)]))
+    M = K + 1 + len(feet)
+    X, A, Fq, w0 = np.zeros(M), np.zeros(M), np.zeros(M), np.zeros(M)
+    X[K + 1:] = feet
+    if include_phi:
+        w0[K + 1:] = np.asarray(problem.phi(feet), dtype=float)
+    if include_b:
+        w0[K] = float(problem.b(0.0))
+        b_ends = np.asarray(problem.b(grid.times[:-1] + h), dtype=float) * np.ones(K)
+    loci = [K + 1 + int(np.searchsorted(feet, p))
+            for p in (0.0,) + problem.phi.jump_points]
+    segments = list(zip(loci, loci[1:] + [M - 1]))
+
+    def row(fn, t, lo, hi):
+        out = np.empty(hi - lo)
+        out[:] = fn(t, np.clip(X[lo:hi], 0.0, 1.0))
+        return out
+
+    def fill(out, mask, pos, vals):
+        if not np.any(mask):
+            return
+        keep = np.concatenate([[True], np.diff(pos) > 1e-13])
+        pos, vals = pos[keep], vals[keep]
+        out[mask] = vals[0] if len(pos) == 1 else np.interp(xs[mask], pos, vals)
+
+    def eval_row(out, lo, hi):
+        w = np.exp(A[lo:hi]) * (w0[lo:hi] + Fq[lo:hi])
+        fences = np.minimum(X[loci], 1.0)
+        fences[0] = min(X[K], 1.0)
+        seg = np.searchsorted(fences, xs, side="left")
+        end = min(K + 1, hi)
+        fill(out, seg == 0, X[lo:end], w[:end - lo])
+        for j, (i0, i1) in enumerate(segments, start=1):
+            end = min(i1 + 1, hi)
+            fill(out, seg == j, X[i0:end], w[i0 - lo:end - lo])
+
+    values = np.empty((K + 1, grid.nx))
+    first, stop = K, M
+    a_cur, f_cur = row(a_fn, 0.0, first, stop), row(f_fn, 0.0, first, stop)
+    eval_row(values[0], first, stop)
+    for k in range(K):
+        t1 = float(grid.times[k]) + h
+        lo = first
+        X[lo:stop] = rk4(float(grid.times[k]), X[lo:stop], h)
+        past = lo + int(np.searchsorted(X[lo:stop], 1.0, side="right"))
+        stop = hi = min(stop, past + 1)
+        first = K - (k + 1)
+        if include_b:
+            w0[first] = b_ends[k]
+        a_new, f_new = row(a_fn, t1, first, hi), row(f_fn, t1, first, hi)
+        n = hi - lo
+        a_old = A[lo:hi].copy()
+        a_step = 0.5 * h * (a_cur[:n] + a_new[1:])
+        if include_f:
+            Fq[lo:hi] += 0.5 * h * (np.exp(-a_old) * f_cur[:n]
+                                    + np.exp(-(a_old + a_step)) * f_new[1:])
+        A[lo:hi] += a_step
+        a_cur, f_cur = a_new, f_new
+        eval_row(values[k + 1], first, hi)
+    return values

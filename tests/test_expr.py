@@ -157,3 +157,12 @@ def test_expression_is_immutable_and_reentrant():
         e.root.value = 1  # frozen dataclass
     assert e(t=1.0, x=2.0) == 3.0
     assert e(t=np.array([1.0, 2.0]), x=0.0).tolist() == [1.0, 2.0]
+
+
+def test_compiled_code_reuses_consumed_temporaries():
+    # a left-deep sum needs one running total, not one array per node
+    e = parse(" + ".join(["x"] * 300))
+    x = np.array([0.0, 0.25, -1.5, 2.0])  # every partial sum is exact
+    assert np.array_equal(e(x=x), 300 * x)
+    temporaries = [n for n in e._compiled.__code__.co_varnames if n.startswith("_r")]
+    assert len(temporaries) <= 2

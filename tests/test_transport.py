@@ -1,10 +1,13 @@
 """Characteristic transport solver against closed forms and itself."""
 
+import math
+
 import numpy as np
 import pytest
 
 from transportlab.characteristics import CharacteristicEngine
 from transportlab.fields import (
+    ROW_BLOCK,
     BoundarySignal,
     FieldValidationError,
     Grid,
@@ -19,6 +22,9 @@ from transportlab.transport import (
     solve_field,
     solve_point,
 )
+
+import reference_forms
+from reference_forms import Counted
 
 E02 = 1.2214027581601699  # exp(0.2)
 
@@ -294,3 +300,39 @@ def test_solve_field_evaluates_the_boundary_signal_a_fixed_number_of_times(nt):
     field = solve_field(prob, grid)
     assert CountingBoundary.calls == 2  # b(0) and one call on every step's end time
     assert field.values[-1, 0] == pytest.approx(np.cos(3.0), abs=1e-12)
+
+
+# --- a and f a block of steps at a time ----------------------------------------
+
+BLOCKED = dict(
+    v="2 + 0.5*sin(pi*x)*cos(3*t)",
+    phi="1 + x^2",
+    b="cos(t)",
+    a="0.3*sin(t) - 0.4*x",
+    f="sin(pi*x)*cos(t) + x*t",
+    jumps=(0.45,),
+)
+
+
+@pytest.mark.parametrize("nt", [1, 31, 32, 33, 70])
+def test_blocked_fan_equals_the_step_by_step_fan(nt):
+    # at speed 2 to 2.5 members leave the strip on most steps, inside blocks
+    grid = Grid(41, 0.02, nt * 0.02)
+    prob = problem_of(**BLOCKED)
+    assert np.array_equal(solve_field(prob, grid).values, reference_forms.fan_values(prob, grid))
+    parts = decompose(prob, grid)
+    flags = [(False, True, False), (True, False, False), (False, False, True)]
+    for part, (phi, b, f) in zip(parts, flags):
+        expected = reference_forms.fan_values(prob, grid, include_phi=phi, include_b=b, include_f=f)
+        assert np.array_equal(part.values, expected)
+
+
+@pytest.mark.parametrize("nt", [1, 32, 33, 400])
+def test_solve_field_evaluates_a_and_f_once_per_block(nt):
+    grid = Grid(51, 1.0 / nt, 1.0)
+    prob = problem_of(v="1 + 0.5*x", phi="1", b="cos(t)")
+    a = Counted(SpaceTimeField.from_expression("0.2*x - t"))
+    f = Counted(SpaceTimeField.from_expression("sin(x + t)"))
+    prob.coeffs = TransportCoefficients(a=a, f=f)
+    solve_field(prob, grid)
+    assert a.calls == f.calls == 1 + math.ceil(nt / ROW_BLOCK)
