@@ -33,7 +33,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .characteristics import CharacteristicEngine
 from .continuity import log_state_problem, solve_continuity
 from .fields import (
     BoundarySignal,
@@ -245,10 +244,8 @@ class TrajectoryRun:
         return lp_norm(self.phi_row, self.grid.xs, p)
 
 
-def transport_run(problem: TransportProblem, grid: Grid,
-                  engine: Optional[CharacteristicEngine] = None) -> TrajectoryRun:
-    engine = engine or CharacteristicEngine(problem.v, grid)
-    fine = solve_field(problem, grid, engine)
+def transport_run(problem: TransportProblem, grid: Grid) -> TrajectoryRun:
+    fine = solve_field(problem, grid)
     coarse = solve_field(problem, grid.coarsened_space())
     b_values = np.asarray(problem.b(grid.times), dtype=float) * np.ones_like(grid.times)
     return TrajectoryRun(
@@ -262,12 +259,11 @@ def transport_run(problem: TransportProblem, grid: Grid,
 
 
 def continuity_run(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
-                   v: VelocityField, grid: Grid,
-                   engine: Optional[CharacteristicEngine] = None) -> TrajectoryRun:
+                   v: VelocityField, grid: Grid) -> TrajectoryRun:
     """The transport run of the log state; its source -dv/dx drives the gain."""
     problem = log_state_problem(rho_s, rho0, b, v)
     rho0.validate_positive(grid.xs)
-    run = transport_run(problem, grid, engine)
+    run = transport_run(problem, grid)
     run.kind, run.rho_s = "continuity", rho_s
     return run
 

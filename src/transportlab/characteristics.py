@@ -8,17 +8,20 @@ with no wall stop.  Inverse queries - which initial point or boundary
 instant feeds a given space-time node - start from a reverse RK4 seed out
 of the query point: the march back to time 0 for the foot, a sweep back to
 the wall x = 0 for the emission time.  The seed is checked first: its
-memoized forward flow is the curve a caller integrates along next, and a
-seed whose flow ends within the 1e-10 tolerance of the query is returned as
-it is, which on smooth speeds is nearly every query.  Only the seeds that
-miss are bracketed and bisected on the march to the 1e-10 residual, valid
-because the flow map is strictly increasing in x0 and the boundary emission
-map is strictly decreasing in the emission time.  Flows and the separatrix
-are memoized per engine, i.e. per (velocity, grid) pair; inverses are not.
+forward flow is the curve a caller integrates along next, and a seed whose
+flow ends within the 1e-10 tolerance of the query is returned as it is,
+which on smooth speeds is nearly every query.  Only the seeds that miss are
+bracketed and bisected on the march to the 1e-10 residual, valid because
+the flow map is strictly increasing in x0 and the boundary emission map is
+strictly decreasing in the emission time.  An engine, i.e. one (velocity,
+grid) pair, memoizes its separatrix and its latest flow only, so it holds
+bounded memory; inverses are not memoized.
 
-Evaluation of v is clamped to x in [0, 1] so that intermediate RK4 stages
-and bracket endpoints slightly outside the strip remain well-defined; this
-is the usual Lipschitz extension of the velocity off the domain.
+Every propagation, here and in the field solver's fan, takes steps of the
+one function ``rk4_step``.  It evaluates v at x clamped to [0, 1] so that
+intermediate RK4 stages and bracket endpoints slightly outside the strip
+remain well-defined; this is the usual Lipschitz extension of the velocity
+off the domain.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from .fields import Grid, VelocityField
 __all__ = [
     "CharacteristicsError",
     "CharacteristicPath",
-    "Separatrix",
-    "JumpLocus",
+    "Locus",
     "CharacteristicEngine",
+    "rk4_step",
 ]
 
 EXIT_TOL = 1e-10
@@ -44,6 +47,23 @@ BACKTRACE_TOL = 1e-10
 
 class CharacteristicsError(ValueError):
     """Precondition or convergence failure in a characteristics query."""
+
+
+def _clamped(v: VelocityField, t, x):
+    """v at positions clamped to the strip; x is a float or an array."""
+    if isinstance(x, float):
+        return v(t, min(max(x, 0.0), 1.0))
+    return v(t, x.clip(0.0, 1.0))
+
+
+def rk4_step(v: VelocityField, t, x, h):
+    """One classical RK4 step of dX/ds = v(s, X) from X(t) = x to time t + h;
+    h < 0 steps back in time."""
+    k1 = _clamped(v, t, x)
+    k2 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = _clamped(v, t + h, x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -67,26 +87,21 @@ class CharacteristicPath:
 
 
 @dataclass(frozen=True)
-class Separatrix:
-    """The characteristic released from (0, 0); splits the two data regions."""
+class Locus:
+    """The characteristic released from (0, start) at the grid times.
 
-    times: np.ndarray
-    positions: np.ndarray  # clamped to 1 after exit
-    exited: bool
-    s_exit: Optional[float]
-
-    def at(self, t) -> float:
-        return np.interp(t, self.times, self.positions)
-
-
-@dataclass(frozen=True)
-class JumpLocus:
-    """Trace of a regularity-breaking initial point; clamped to 1 after exit."""
+    Positions clamp to 1 from the exit on.  The locus of 0 is the
+    separatrix, which splits the boundary-fed region from the initial-data
+    region; the loci of jump points bound the smooth regions.
+    """
 
     start: float
     times: np.ndarray
     positions: np.ndarray
     s_exit: Optional[float]
+
+    def at(self, t) -> float:
+        return np.interp(t, self.times, self.positions)
 
 
 class CharacteristicEngine:
@@ -96,37 +111,25 @@ class CharacteristicEngine:
         self.v = v
         self.grid = grid
         self.dt = grid.dt
-        self._flow_cache: dict = {}
-        self._separatrix: Optional[Separatrix] = None
+        self._last: Optional[tuple] = None  # (t0, x0, until) and its path
+        self._separatrix: Optional[Locus] = None
         self._vmin_running: Optional[np.ndarray] = None
-
-    # -- velocity with the off-domain extension ---------------------------
-
-    def _speed(self, t, x):
-        if isinstance(x, float):
-            return self.v(t, min(max(x, 0.0), 1.0))
-        return self.v(t, x.clip(0.0, 1.0))
-
-    def _rk4(self, t, x, h):
-        f = self._speed
-        k1 = f(t, x)
-        k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = f(t + h, x + h * k3)
-        return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     # -- forward flow ------------------------------------------------------
 
     def flow(self, t0: float, x0: float, until: float) -> CharacteristicPath:
-        """Integrate from (t0, x0) up to absolute time ``until`` or the exit."""
+        """Integrate from (t0, x0) up to absolute time ``until`` or the exit.
+
+        The latest flow is memoized: a backtrace's seed check builds the
+        flow its caller integrates along next.
+        """
         if not 0.0 <= x0 <= 1.0:
             raise CharacteristicsError(f"x0 must lie in [0, 1], got {x0}")
         if until < t0:
             raise CharacteristicsError("until must not precede t0")
         key = (float(t0), float(x0), float(until))
-        hit = self._flow_cache.get(key)
-        if hit is not None:
-            return hit
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
 
         s_end = until - t0
         ss = [0.0]
@@ -136,10 +139,10 @@ class CharacteristicEngine:
         s, x = 0.0, float(x0)
         while not exited and s < s_end - 1e-15:
             h = min(self.dt, s_end - s)
-            xn = float(self._rk4(t0 + s, x, h))
+            xn = float(rk4_step(self.v, t0 + s, x, h))
             if xn >= 1.0:
                 h_exit = self._bisect_exit(t0 + s, x, h, xn)
-                x_exit = float(self._rk4(t0 + s, x, h_exit))
+                x_exit = float(rk4_step(self.v, t0 + s, x, h_exit))
                 s = s + h_exit
                 ss.append(s)
                 xs.append(x_exit)
@@ -150,7 +153,7 @@ class CharacteristicEngine:
             ss.append(s)
             xs.append(x)
         path = CharacteristicPath(t0, x0, np.asarray(ss), np.asarray(xs), exited, s_exit)
-        self._flow_cache[key] = path
+        self._last = key, path
         return path
 
     def _bisect_exit(self, t_at: float, x_at: float, h: float, x_full: float) -> float:
@@ -160,7 +163,7 @@ class CharacteristicEngine:
         lo, hi = 0.0, h
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            xm = float(self._rk4(t_at, x_at, mid))
+            xm = float(rk4_step(self.v, t_at, x_at, mid))
             if abs(xm - 1.0) <= EXIT_TOL:
                 return mid
             if xm > 1.0:
@@ -169,24 +172,16 @@ class CharacteristicEngine:
                 lo = mid
         raise CharacteristicsError("exit sub-stepping did not converge")
 
-    def forget_paths(self) -> None:
-        """Drop the memoized flows; keep the separatrix and min v."""
-        self._flow_cache.clear()
-
     # -- separatrix and loci ----------------------------------------------
 
-    def separatrix(self) -> Separatrix:
+    def separatrix(self) -> Locus:
+        """The locus of 0, traced once per engine."""
         if self._separatrix is None:
-            times = self.grid.times
-            path = self.flow(0.0, 0.0, float(times[-1]))
-            pos = np.interp(times, path.s_values, path.x_values)
-            if path.exited:
-                pos[times >= path.s_exit - 1e-15] = 1.0
-            self._separatrix = Separatrix(times, pos, path.exited, path.s_exit)
+            (self._separatrix,) = self.jump_loci([0.0])
         return self._separatrix
 
-    def jump_loci(self, starts: Sequence[float]) -> list[JumpLocus]:
-        """Trace each regularity-breaking point; positions clamp to 1 after exit."""
+    def jump_loci(self, starts: Sequence[float]) -> list[Locus]:
+        """The locus of each initial point."""
         times = self.grid.times
         out = []
         for xi in starts:
@@ -194,7 +189,7 @@ class CharacteristicEngine:
             pos = np.interp(times, path.s_values, path.x_values)
             if path.exited:
                 pos[times >= path.s_exit - 1e-15] = 1.0
-            out.append(JumpLocus(float(xi), times, pos, path.s_exit))
+            out.append(Locus(float(xi), times, pos, path.s_exit))
         return out
 
     # -- running minimum of v (bracket widths) -----------------------------
@@ -216,7 +211,7 @@ class CharacteristicEngine:
         left = sign * (until - s)
         while left > 1e-15:
             h = min(self.dt, left)
-            pos = float(self._rk4(s, pos, sign * h))
+            pos = float(rk4_step(self.v, s, pos, sign * h))
             s += sign * h
             left = sign * (until - s)
         return pos
@@ -325,12 +320,12 @@ class CharacteristicEngine:
             h = min(self.dt, s)
             if h <= 1e-15:
                 break
-            nxt = float(self._rk4(s, pos, -h))
+            nxt = float(rk4_step(self.v, s, pos, -h))
             if nxt <= 0.0:
                 lo_f, hi_f = 0.0, h  # fraction of the backward step to reach 0
                 for _ in range(80):
                     mid = 0.5 * (lo_f + hi_f)
-                    xm = float(self._rk4(s, pos, -mid))
+                    xm = float(rk4_step(self.v, s, pos, -mid))
                     if xm > 0.0:
                         lo_f = mid
                     else:
@@ -340,18 +335,3 @@ class CharacteristicEngine:
             s -= h
         return max(lower, 0.0)
 
-    # -- sensitivity ---------------------------------------------------------
-
-    def flow_sensitivity(self, t0: float, x0: float, s: float) -> float:
-        """dX/dx0 at elapsed time s: exp of the integral of dv/dx along the path."""
-        path = self.flow(t0, x0, t0 + s)
-        if path.end_s < s - 1e-12:
-            raise CharacteristicsError("characteristic exits before the requested time")
-        mask = path.s_values <= s + 1e-15
-        ss = path.s_values[mask]
-        xs = path.x_values[mask]
-        if len(ss) < 2:
-            return 1.0
-        slopes = np.array([float(self.v.ddx(t0 + si, min(max(xi, 0.0), 1.0)))
-                           for si, xi in zip(ss, xs)])
-        return float(np.exp(np.trapezoid(slopes, ss)))

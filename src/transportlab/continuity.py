@@ -10,11 +10,8 @@ and bounds never disagree about what dv/dx means.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .characteristics import CharacteristicEngine
 from .fields import (
     BoundarySignal,
     FieldValidationError,
@@ -42,15 +39,14 @@ def log_state_problem(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
 
 
 def solve_continuity(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
-                     v: VelocityField, grid: Grid,
-                     engine: Optional[CharacteristicEngine] = None) -> SolutionField:
+                     v: VelocityField, grid: Grid) -> SolutionField:
     """Solve the continuity equation; returns densities (kind "rho").
 
     Raises FieldValidationError when a density is not finite.
     """
     rho0.validate_positive(grid.xs)
     problem = log_state_problem(rho_s, rho0, b, v)
-    w = solve_field(problem, grid, engine)
+    w = solve_field(problem, grid)
     return SolutionField(
         grid=grid, times=w.times, xs=w.xs,
         values=rho_s * np.exp(w.values),

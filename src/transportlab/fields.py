@@ -218,6 +218,8 @@ class Grid:
             raise FieldValidationError("nx must be at least 2")
         if not self.dt > 0:
             raise FieldValidationError("dt must be positive")
+        if not (math.isfinite(self.dt) and math.isfinite(self.horizon)):
+            raise FieldValidationError("dt and horizon must be finite")
         if self.horizon < self.dt:
             raise FieldValidationError("horizon must be at least dt")
         k = round(self.horizon / self.dt)

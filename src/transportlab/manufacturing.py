@@ -25,7 +25,6 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bounds import INF, TrajectoryRun
-from .characteristics import CharacteristicEngine
 from .continuity import solve_continuity
 from .expr import Expression, parse
 from .fields import (FD_STEP, BoundarySignal, Grid, InitialProfile,
@@ -422,7 +421,8 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
         i = j
 
     velocity = sampled_velocity(times, v_values)
-    rho = solve_field_rho(scenario, velocity, run_grid)
+    rho = solve_continuity(scenario.rho_s, scenario.rho0, scenario.b,
+                           velocity, run_grid)
     w_trace = np.trapezoid(rho.values, xs, axis=1)
     b_row = np.asarray(scenario.b(times), dtype=float) * np.ones_like(times)
     u_trace = scenario.rho_s * \
@@ -435,14 +435,6 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
         windows=windows, w_internal=w_internal, consistency_max=consistency,
         terminal=terminal_time(scenario), window_limit=limit,
         vmin=scenario.vmin, vmax=scenario.vmax)
-
-
-def solve_field_rho(scenario: ProductionScenario, velocity: VelocityField,
-                    grid: Grid,
-                    engine: Optional[CharacteristicEngine] = None) -> SolutionField:
-    """Density field for a known closed-loop velocity."""
-    return solve_continuity(scenario.rho_s, scenario.rho0, scenario.b,
-                            velocity, grid, engine)
 
 
 @dataclass
@@ -490,7 +482,8 @@ def manufacturing_run(run: ClosedLoopRun) -> TrajectoryRun:
     """Package a closed-loop run for certification against the flush bound."""
     sc = run.scenario
     grid = run.grid
-    coarse = solve_field_rho(sc, run.velocity, grid.coarsened_space())
+    coarse = solve_continuity(sc.rho_s, sc.rho0, sc.b, run.velocity,
+                              grid.coarsened_space())
     ones = np.ones_like(grid.xs)
     phi_row = np.log(np.asarray(sc.rho0(grid.xs), dtype=float) * ones / sc.rho_s)
     b_vals = np.asarray(sc.b(grid.times), dtype=float) * np.ones_like(grid.times)

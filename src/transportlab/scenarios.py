@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .bounds import (_KIND_OF, INF, TrajectoryRun, canonical_estimate,
-                     continuity_run, transport_run)
+                     continuity_run, mu_is_valid, transport_run)
 from .continuity import solve_continuity
 from .expr import ExpressionError, parse
 from .fields import (FD_STEP, BoundarySignal, FieldValidationError, Grid,
@@ -127,7 +127,7 @@ def _parse_value(key: str, value: str, ln: int, errors: list):
             except ValueError:
                 errors.append(f"line {ln}: {key!r} expects numbers, got {s!r}")
                 return None
-            out.append(int(x) if x == int(x) and math.isfinite(x) else x)
+            out.append(int(x) if math.isfinite(x) and x == int(x) else x)
         return tuple(out)
     if key == "problem":
         return value
@@ -219,6 +219,12 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
             if kind != problem:
                 errors.append(f"estimate {est} applies to {kind} scenarios, "
                               f"not {problem}")
+            # the most permissive data: mu that fails here fails on every run
+            for mu in data.get("mu", ()):
+                if math.isfinite(mu) and not mu_is_valid(
+                        est, INF, mu, vmin=math.inf, vmax=0.0, a_max=math.inf):
+                    errors.append(f"mu = {mu!r} is admissible for {est} "
+                                  "on no data")
     else:
         estimates = data.get("estimates", ())
 
@@ -228,6 +234,9 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
     for mu in data.get("mu", ()):
         if not math.isfinite(mu):
             errors.append(f"mu values must be finite; got {mu!r}")
+    for theta in data.get("theta", ()):
+        if not 0.0 < theta < 1.0:
+            errors.append(f"theta values must lie in (0, 1); got {theta!r}")
 
     # semantic checks that need the grid
     if grid is not None and problem and not errors:

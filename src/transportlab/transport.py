@@ -12,17 +12,18 @@ are composite trapezoid sums along the stored RK4 path samples.
 
 ``solve_point`` evaluates the formulas literally.  The problem's kept
 characteristics engine backtraces the query point to its foot or emission
-time: a reverse RK4 seed, returned once its memoized forward flow lands
-within 1e-10 of the point and bisected only otherwise; the integrals then
-run along that same stored path.  ``solve_field`` evaluates the same
+time: a reverse RK4 seed, returned once its forward flow lands within 1e-10
+of the point and bisected only otherwise; the integrals then run along that
+same flow, the one the engine memoizes.  ``solve_field`` evaluates the same
 formulas along a fan of characteristics - one per initial grid node, one
 per boundary grid time, plus every declared jump point - and lands on grid
 nodes by piecewise-linear interpolation within the smooth region between
 adjacent jump loci, never across one.  Linear interpolation is deliberate:
 it is linear in the member values, so superposition splits recombine
 exactly, and it cannot overshoot, so solution envelopes survive the
-transfer to the grid.  Both routes share one RK4 stepper and one
-quadrature rule; the fan costs O(rows x members) instead of O(nodes) root
+transfer to the grid.  Both routes share one RK4 step,
+``characteristics.rk4_step``, and one quadrature rule; a field solve builds
+no engine, and the fan costs O(rows x members) instead of O(nodes) root
 finds, which keeps full space-time fields tractable.  Of the members that
 left the strip, only the first one past the wall is kept, as the right
 bracket of the nodes near x = 1.  The fan evaluates a and f once per block
@@ -43,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .characteristics import CharacteristicEngine
+from .characteristics import CharacteristicEngine, rk4_step
 from .fields import (
     ROW_BLOCK,
     BoundarySignal,
@@ -70,10 +71,9 @@ class TransportProblem:
 
     The problem keeps the characteristic engine of its latest (v, grid)
     pair for ``solve_point``, so the separatrix and the running minimum of
-    v are integrated once and serve every query on that grid.  The
-    engine's memoized flows are dropped at each query, so a long-lived
-    problem holds only the last query's paths.  Asking for
-    another grid, or replacing ``v``, starts a new engine.
+    v are integrated once and serve every query on that grid.  The engine
+    memoizes only its latest flow, so a long-lived problem holds one path.
+    Asking for another grid, or replacing ``v``, starts a new engine.
     """
 
     phi: InitialProfile
@@ -88,12 +88,10 @@ class TransportProblem:
         self.b.validate_finite(grid.times)
 
     def engine_for(self, grid: Grid) -> CharacteristicEngine:
-        """The engine of (v, grid), kept for the latest pair, paths forgotten."""
+        """The engine of (v, grid), kept for the latest pair."""
         kept = self._engine
         if kept is None or kept.v is not self.v or kept.grid != grid:
             self._engine = CharacteristicEngine(self.v, grid)
-        else:
-            kept.forget_paths()
         return self._engine
 
 
@@ -148,10 +146,9 @@ def _integrals_along(path_s, path_x, t_offset, problem):
     return float(a_cum[-1]), float(conv)
 
 
-def solve_point(problem: TransportProblem, grid: Grid, t: float, x: float,
-                engine: Optional[CharacteristicEngine] = None) -> float:
+def solve_point(problem: TransportProblem, grid: Grid, t: float, x: float) -> float:
     """w(t, x) by the explicit characteristic formulas (certified backtraces)."""
-    engine = engine or problem.engine_for(grid)
+    engine = problem.engine_for(grid)
     r0 = engine.separatrix().at(t)
     if x > r0:
         x0 = engine.backtrace_x0(t, x)
@@ -189,11 +186,9 @@ class _Fan:
     """
 
     def __init__(self, problem: TransportProblem, grid: Grid,
-                 engine: CharacteristicEngine,
                  include_phi: bool, include_b: bool, include_f: bool):
         self.problem = problem
         self.grid = grid
-        self.engine = engine
         self.include_f = include_f
         K = grid.nt
         self.K = K
@@ -248,8 +243,8 @@ class _Fan:
         act = np.empty((B, 2), dtype=int)    # the window each step integrates
         for j in range(B):
             lo = self.first
-            self.X[lo:self.stop] = self.engine._rk4(
-                float(self.grid.times[k0 + j]), self.X[lo:self.stop], h)
+            self.X[lo:self.stop] = rk4_step(
+                self.problem.v, float(self.grid.times[k0 + j]), self.X[lo:self.stop], h)
             past = lo + int(np.searchsorted(self.X[lo:self.stop], 1.0, side="right"))
             self.stop = min(self.stop, past + 1)
             act[j] = lo, self.stop
@@ -328,14 +323,12 @@ class _Fan:
 
 
 def solve_field(problem: TransportProblem, grid: Grid,
-                engine: Optional[CharacteristicEngine] = None,
                 component: str = "full",
                 include_phi: bool = True, include_b: bool = True,
                 include_f: bool = True) -> SolutionField:
     """Solve on the whole grid; see the module docstring for the method."""
     problem.validate(grid)
-    engine = engine or CharacteristicEngine(problem.v, grid)
-    fan = _Fan(problem, grid, engine, include_phi, include_b, include_f)
+    fan = _Fan(problem, grid, include_phi, include_b, include_f)
     values = np.empty((grid.nt + 1, grid.nx))
     fan.first_row(values[0])
     for k in range(0, grid.nt, ROW_BLOCK):
@@ -350,8 +343,7 @@ def solve_field(problem: TransportProblem, grid: Grid,
     ).check_finite()
 
 
-def decompose(problem: TransportProblem, grid: Grid,
-              engine: Optional[CharacteristicEngine] = None
+def decompose(problem: TransportProblem, grid: Grid
               ) -> tuple[SolutionField, SolutionField, SolutionField]:
     """Split into boundary-only, initial-only, and source-only responses.
 
@@ -359,11 +351,10 @@ def decompose(problem: TransportProblem, grid: Grid,
     three ride the same characteristic fan, their pointwise sum reproduces
     the full solution to rounding.
     """
-    engine = engine or CharacteristicEngine(problem.v, grid)
-    w_boundary = solve_field(problem, grid, engine, component="boundary_only",
+    w_boundary = solve_field(problem, grid, component="boundary_only",
                              include_phi=False, include_b=True, include_f=False)
-    w_initial = solve_field(problem, grid, engine, component="initial_only",
+    w_initial = solve_field(problem, grid, component="initial_only",
                             include_phi=True, include_b=False, include_f=False)
-    w_source = solve_field(problem, grid, engine, component="source_only",
+    w_source = solve_field(problem, grid, component="source_only",
                            include_phi=False, include_b=False, include_f=True)
     return w_boundary, w_initial, w_source

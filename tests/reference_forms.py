@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from transportlab.bounds import boundary_coefficient, mu_is_valid
-from transportlab.characteristics import CharacteristicEngine
+from transportlab.characteristics import rk4_step
 from transportlab.norms import heaviside_h
 
 INF = math.inf
@@ -152,7 +152,6 @@ def fan_values(problem, grid, include_phi=True, include_b=True, include_f=True):
     the first member past the wall.
     """
     K, h, xs = grid.nt, grid.dt, grid.xs
-    rk4 = CharacteristicEngine(problem.v, grid)._rk4
     a_fn, f_fn = problem.coeffs.a, problem.coeffs.f
     feet = np.unique(np.concatenate([xs, np.asarray(problem.phi.jump_points)]))
     M = K + 1 + len(feet)
@@ -197,7 +196,7 @@ def fan_values(problem, grid, include_phi=True, include_b=True, include_f=True):
     for k in range(K):
         t1 = float(grid.times[k]) + h
         lo = first
-        X[lo:stop] = rk4(float(grid.times[k]), X[lo:stop], h)
+        X[lo:stop] = rk4_step(problem.v, float(grid.times[k]), X[lo:stop], h)
         past = lo + int(np.searchsorted(X[lo:stop], 1.0, side="right"))
         stop = hi = min(stop, past + 1)
         first = K - (k + 1)

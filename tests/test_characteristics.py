@@ -11,7 +11,6 @@ from transportlab.fields import Grid, VelocityField
 #   X(s; 0, x0) = (1 + x0) e^s - 1,   exit of x0=0 at s = ln 2
 X0_AFFINE = 1.6 * math.exp(-0.2) - 1.0          # foot of (t=0.2, x=0.6)
 T0_AFFINE = 1.0 - math.log(1.5)                 # emission time of (t=1, x=0.5)
-SENS_AFFINE = math.exp(0.5)                     # dX/dx0 after s=0.5
 
 GRID = Grid(nx=101, dt=1e-3, horizon=1.5)
 
@@ -122,27 +121,6 @@ def test_jump_loci_clamp(unit_engine):
     assert locus.positions[np.searchsorted(t, 0.6)] == 1.0
     assert locus.s_exit == pytest.approx(0.5, abs=1e-9)
     assert np.all(np.diff(locus.positions) >= -1e-14)
-
-
-def test_flow_sensitivity(affine_engine, unit_engine):
-    assert affine_engine.flow_sensitivity(0.0, 0.1, 0.5) == pytest.approx(SENS_AFFINE, rel=1e-6)
-    assert affine_engine.flow_sensitivity(0.0, 0.3, 0.0) == 1.0
-    assert unit_engine.flow_sensitivity(0.0, 0.3, 0.5) == 1.0
-    with pytest.raises(CharacteristicsError, match="exits"):
-        unit_engine.flow_sensitivity(0.0, 0.3, 0.9)
-
-
-def test_flow_sensitivity_matches_finite_difference():
-    engine = CharacteristicEngine(
-        VelocityField.from_expression("1 + 0.25*sin(pi*x)"), GRID)
-    t0, x0, s = 0.0, 0.3, 0.4
-    sens = engine.flow_sensitivity(t0, x0, s)
-    h = 1e-6
-    hi = engine.flow(t0, x0 + h, t0 + s).end_x
-    lo = engine.flow(t0, x0 - h, t0 + s).end_x
-    fd = (hi - lo) / (2 * h)
-    assert sens == pytest.approx(fd, rel=1e-4)
-    assert sens > 0
 
 
 def test_memoization_returns_identical_objects(affine_engine):

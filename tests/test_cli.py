@@ -286,6 +286,32 @@ def test_infinite_speed_reports_json(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("mode,src,message", [
+    ("simulate", TRANSPORT_SRC.replace("horizon = 0.8", "horizon = nan"),
+     "grid: dt and horizon must be finite"),
+    ("simulate", TRANSPORT_SRC.replace("horizon = 0.8", "horizon = inf"),
+     "grid: dt and horizon must be finite"),
+    ("certify", CONTINUITY_SRC.replace("mu = 0.3", "mu = nan"),
+     "mu values must be finite; got nan"),
+    ("certify", CONTINUITY_SRC.replace("p = 2, inf", "p = nan"),
+     "p values must exceed 1 or be inf; got nan"),
+    ("experiments", TRANSPORT_SRC + "theta = 2\n",
+     "theta values must lie in (0, 1); got 2"),
+    ("certify", CONTINUITY_SRC.replace("mu = 0.3", "mu = -1"),
+     "mu = -1 is admissible for E2.4 on no data"),
+], ids=["horizon-nan", "horizon-inf", "mu-nan", "p-nan", "theta-2", "mu-negative"])
+def test_out_of_range_scenario_values_report_json(tmp_path, capsys, mode, src, message):
+    path = write(tmp_path, "probe.txt", src)
+    rc = cli.main(["run", path, "--mode", mode, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "ScenarioError"
+    assert message in report["messages"]
+    assert "Traceback" not in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["probe.txt"]
+
+
 def test_missing_file_reports_json(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 2
@@ -324,8 +350,11 @@ def test_unknown_mode_rejected(tmp_path):
 
 
 def test_nan_and_inf_serialize_plainly(tmp_path):
-    # inadmissible mu rows must print as plain 'nan', p = inf as 'inf'
-    src = CONTINUITY_SRC.replace("mu = 0.3", "mu = -0.5")
+    # inadmissible mu rows must print as plain 'nan', p = inf as 'inf'; a
+    # reaction of -5 makes mu = 0.5 inadmissible on this data at every time
+    src = (TRANSPORT_SRC.replace('a = "-0.1"', 'a = "-5"')
+           .replace("estimates = E2.10", "estimates = E2.10, E2.11")
+           .replace("p = 2", "p = 2, inf"))
     path = write(tmp_path, "tight.txt", src)
     rc = cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)])
     assert rc == 0  # vacuous: no admissible time, nothing violated

@@ -39,7 +39,8 @@ def test_grid_basics():
     assert np.array_equal(g.times, np.arange(11) * 0.1)
 
 
-@pytest.mark.parametrize("nx,dt,horizon", [(1, 0.1, 1.0), (5, 0.0, 1.0), (5, 0.1, 0.05), (5, 0.3, 1.0)])
+@pytest.mark.parametrize("nx,dt,horizon", [(1, 0.1, 1.0), (5, 0.0, 1.0), (5, 0.1, 0.05), (5, 0.3, 1.0),
+                                           (5, 0.1, math.nan), (5, 0.1, math.inf)])
 def test_grid_rejects_bad_parameters(nx, dt, horizon):
     with pytest.raises(FieldValidationError):
         Grid(nx=nx, dt=dt, horizon=horizon)

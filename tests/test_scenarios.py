@@ -232,6 +232,8 @@ def test_list_values_parse_inf_and_ints():
                              + "mu = 0.25\n")
     assert sc.p == (2, 4, INF)
     assert all(isinstance(p, int) for p in sc.p[:2])
+    # a number past the float range reads as inf, like writing inf
+    assert parse_scenario_text(CONTINUITY_SRC + "p = 1e400\n").p == (INF,)
     assert sc.mu == (0.25,)
     for bad in ("0.5", "1"):
         with pytest.raises(ScenarioError, match="exceed 1"):

@@ -95,9 +95,8 @@ SMOOTH = dict(
 def test_superposition_identity():
     grid = Grid(101, 2e-3, 0.8)
     prob = problem_of(**SMOOTH)
-    engine = CharacteristicEngine(prob.v, grid)
-    full = solve_field(prob, grid, engine)
-    w_b, w_i, w_s = decompose(prob, grid, engine)
+    full = solve_field(prob, grid)
+    w_b, w_i, w_s = decompose(prob, grid)
     assert (w_b.component, w_i.component, w_s.component) == (
         "boundary_only", "initial_only", "source_only")
     recombined = w_b.values + w_i.values + w_s.values
@@ -120,11 +119,10 @@ def test_decompose_parts_solve_their_own_data():
 def test_solve_point_matches_field():
     grid = Grid(201, 2e-3, 0.8)
     prob = problem_of(**SMOOTH)
-    engine = CharacteristicEngine(prob.v, grid)
-    w = solve_field(prob, grid, engine)
+    w = solve_field(prob, grid)
     for x in (0.2, 0.55, 0.9):
         j = int(round(x / grid.dx))
-        pointwise = solve_point(prob, grid, 0.8, float(grid.xs[j]), engine)
+        pointwise = solve_point(prob, grid, 0.8, float(grid.xs[j]))
         assert pointwise == pytest.approx(w.final_row[j], abs=2e-4)
 
 
@@ -186,18 +184,22 @@ def test_non_finite_solution_rejected():
 def test_solve_field_integrates_no_characteristic_flow(monkeypatch):
     grid = Grid(101, 2e-3, 0.4)
     prob = problem_of(**SMOOTH)
-    engine = CharacteristicEngine(prob.v, grid)
-    flows = []
-    flow = engine.flow
+    calls = []
+    init, flow = CharacteristicEngine.__init__, CharacteristicEngine.flow
 
-    def spied(*args):
-        flows.append(args)
-        return flow(*args)
+    def spied_init(self, *args):
+        calls.append("__init__")
+        init(self, *args)
 
-    monkeypatch.setattr(engine, "flow", spied)
-    solve_field(prob, grid, engine)
-    decompose(prob, grid, engine)
-    assert flows == []
+    def spied_flow(self, *args):
+        calls.append("flow")
+        return flow(self, *args)
+
+    monkeypatch.setattr(CharacteristicEngine, "__init__", spied_init)
+    monkeypatch.setattr(CharacteristicEngine, "flow", spied_flow)
+    solve_field(prob, grid)
+    decompose(prob, grid)
+    assert calls == []
 
 
 # --- the engine kept by a problem --------------------------------------------
@@ -233,24 +235,16 @@ def test_problem_engine_follows_grid_and_velocity():
     assert solve_point(prob, grid, 0.2, 0.7) == pytest.approx(0.3, abs=1e-12)
 
 
-def test_solve_point_explicit_engine_matches_kept_engine():
-    grid = Grid(151, 1e-3, 1.0)
-    queries = ((0.5, 0.2), (0.75, 0.4), (0.2, 0.6), (0.5, 0.9))
-    kept = problem_of(**SMOOTH)
-    explicit = problem_of(**SMOOTH)
-    engine = CharacteristicEngine(explicit.v, grid)
-    for t, x in queries:
-        assert solve_point(kept, grid, t, x) == solve_point(explicit, grid, t, x, engine)
-
-
 def test_distinct_queries_leave_a_bounded_number_of_stored_paths():
     grid = Grid(101, 1e-3, 1.0)
     prob = problem_of(v="1 + x", phi="sin(2*x)", b="cos(t)")
     for k in range(40):
         solve_point(prob, grid, 0.2 + 0.02 * k, 0.05 + 0.02 * k)
     engine = prob._engine
-    # the last query's flow and backtrace; the separatrix is kept apart
-    assert len(engine._flow_cache) <= 2
+    # the last query's flow is the one path kept; the separatrix is kept apart
+    (t0, x0, _), path = engine._last
+    assert (path.t0, path.x0) == (t0, x0)
+    assert not [v for v in vars(engine).values() if isinstance(v, (dict, list))]
     assert engine._separatrix is not None
 
 
