@@ -332,8 +332,12 @@ def certify(run: TrajectoryRun, estimate_id: str, ps: Sequence,
     certs = []
     for p in ps:
         cert_id = _SUP_TWIN[base] if p == INF else base
-        lhs = run.lhs_trace(p)
-        slack = 1e-6 + 10.0 * np.abs(lhs - run.lhs_trace(p, coarse=True))
+        lhs, lhs_coarse = run.lhs_trace(p), run.lhs_trace(p, coarse=True)
+        bad = ~(np.isfinite(lhs) & np.isfinite(lhs_coarse))
+        if bad.any():
+            raise EstimateValidityError(
+                f"{cert_id} at p={p}, t={ts[np.argmax(bad)]}: the state norm overflows")
+        slack = 1e-6 + 10.0 * np.abs(lhs - lhs_coarse)
         phi_n = run.phi_norm(p)
         f_norms = None if flush else lp_norm_rows(run.f_rows, run.grid.xs, p)
         for mu in mus:

@@ -21,7 +21,7 @@ Every propagation, here and in the field solver's fan, takes steps of the
 one function ``rk4_step``.  It evaluates v at x clamped to [0, 1] so that
 intermediate RK4 stages and bracket endpoints slightly outside the strip
 remain well-defined; this is the usual Lipschitz extension of the velocity
-off the domain.
+off the domain, and a speed of t alone moves every position alike.
 """
 
 from __future__ import annotations
@@ -58,11 +58,18 @@ def _clamped(v: VelocityField, t, x):
 
 def rk4_step(v: VelocityField, t, x, h):
     """One classical RK4 step of dX/ds = v(s, X) from X(t) = x to time t + h;
-    h < 0 steps back in time."""
-    k1 = _clamped(v, t, x)
-    k2 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = _clamped(v, t + h, x + h * k3)
+    h < 0 steps back in time.  A speed of t alone (``_uniform_in_x``) is read
+    once per stage time, at x = 0: each position moves by the displacement
+    the array form gives it, bit for bit."""
+    if v._uniform_in_x:
+        k1 = v(t, 0.0)
+        k2 = k3 = v(t + 0.5 * h, 0.0)
+        k4 = v(t + h, 0.0)
+    else:
+        k1 = _clamped(v, t, x)
+        k2 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = _clamped(v, t + h, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

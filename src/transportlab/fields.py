@@ -130,8 +130,12 @@ class VelocityField(SpaceTimeField):
 
     ``fn`` must be a pure function of (t, x): the rows of v on a grid are
     evaluated once and kept, read-only, for the latest grid asked for (see
-    ``grid_rows``).
+    ``grid_rows``).  ``_uniform_in_x`` is a class constant, true only for the
+    speeds of t alone that ``manufacturing.sampled_velocity`` makes; see
+    ``rk4_step``.
     """
+
+    _uniform_in_x = False
 
     def __init__(self, fn: Callable, ddx_fn: Optional[Callable] = None):
         super().__init__(fn, ddx_fn)

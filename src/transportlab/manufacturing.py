@@ -341,7 +341,8 @@ def sampled_velocity(times: np.ndarray, values: np.ndarray) -> VelocityField:
     integrator reproduces exactly (its stage average collapses to the
     trapezoid rule), so characteristics computed from the wrapper land on the
     same feet as the trapezoid-based fixed point.  The spatial slope is
-    identically zero, making the induced log-state source vanish exactly.
+    identically zero, making the induced log-state source vanish exactly,
+    and ``rk4_step`` reads the speed once per stage time.
     """
     ts = np.asarray(times, dtype=float)
     vs = np.asarray(values, dtype=float)
@@ -351,7 +352,13 @@ def sampled_velocity(times: np.ndarray, values: np.ndarray) -> VelocityField:
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
         return val * np.ones(shape) if shape else float(val)
 
-    return VelocityField(fn, _filled(0.0))
+    return _SampledVelocity(fn, _filled(0.0))
+
+
+class _SampledVelocity(VelocityField):
+    """A speed of t alone."""
+
+    _uniform_in_x = True
 
 
 @dataclass

@@ -66,8 +66,10 @@ def lp_norm_rows(rows: np.ndarray, xs: np.ndarray, p: PNorm) -> np.ndarray:
         if p == math.inf:
             out[i:i + ROW_BLOCK] = np.max(block, axis=1)
         else:
+            with np.errstate(over="ignore"):  # a power past the float range reads inf
+                powers = block ** p
             out[i:i + ROW_BLOCK] = [s ** (1.0 / p)
-                                    for s in np.trapezoid(block ** p, xs, axis=1)]
+                                    for s in np.trapezoid(powers, xs, axis=1)]
     return out
 
 

@@ -10,7 +10,7 @@ Recognized keys: ``problem`` (transport | continuity | manufacturing),
 ``rho_s``, the field expressions ``v``, ``b``, ``rho0``, ``phi``, ``a``,
 ``f``, ``lambda``, the grid ``nx``, ``dt``, ``horizon``, the certification
 lists ``estimates``, ``p``, ``mu``, the experiment selector ``theta``, plus
-the optional ``name`` and sweep size ``count``.
+the optional ``name`` and sweep size ``count`` (at least 1).
 
 The module also hosts the seeded random-scenario generators used by the
 sweep mode and the property-test campaigns: low-order trigonometric speeds
@@ -237,6 +237,8 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
     for theta in data.get("theta", ()):
         if not 0.0 < theta < 1.0:
             errors.append(f"theta values must lie in (0, 1); got {theta!r}")
+    if data.get("count", 1) < 1:
+        errors.append(f"count must be at least 1; got {data['count']!r}")
 
     # semantic checks that need the grid
     if grid is not None and problem and not errors:

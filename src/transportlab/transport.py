@@ -27,7 +27,8 @@ no engine, and the fan costs O(rows x members) instead of O(nodes) root
 finds, which keeps full space-time fields tractable.  Of the members that
 left the strip, only the first one past the wall is kept, as the right
 bracket of the nodes near x = 1.  The fan evaluates a and f once per block
-of ``ROW_BLOCK`` steps, with the sums of single steps, term for term.
+of ``ROW_BLOCK`` steps, with the sums of single steps, term for term, and
+interpolates the block's rows in one pass, bitwise as np.interp per row.
 
 Nodes lying exactly on a jump locus (the separatrix included) take the
 left-limit value, matching the left-continuity convention for piecewise
@@ -182,7 +183,9 @@ class _Fan:
     first, then one call of a and one of f cover the block's rows on the
     union of their windows.  The union adds members not yet injected, at
     x = 0, and members past the wall, clamped to x = 1, where each row
-    evaluates anyway; their increments are zero.
+    evaluates anyway; their increments are zero.  One pass of ``_to_nodes``
+    then interpolates all the block's rows: a search of the nodes per row,
+    the rest on (rows, nodes) arrays.
     """
 
     def __init__(self, problem: TransportProblem, grid: Grid,
@@ -194,7 +197,6 @@ class _Fan:
         self.K = K
 
         feet = np.unique(np.concatenate([grid.xs, np.asarray(problem.phi.jump_points)]))
-        self.i_sep_left = K          # boundary member injected at t = 0
         M = (K + 1) + len(feet)
 
         self.X = np.zeros(M)
@@ -215,12 +217,13 @@ class _Fan:
             self.w0[K] = float(problem.b(0.0))
             self.w0[K - 1::-1] = problem.b(grid.times[:-1] + grid.dt)
 
-        # jump-point member indices define the segment fences
-        locus_feet = [0.0] + list(problem.phi.jump_points)
-        self.locus_idx = [K + 1 + int(np.searchsorted(feet, xi)) for xi in locus_feet]
-        starts = list(self.locus_idx)
-        ends = self.locus_idx[1:] + [M - 1]
-        self.segments = list(zip(starts, ends))
+        # segment 0 runs from a row's latest boundary member to the
+        # separatrix K, segment s >= 1 from locus s - 1 (of x = 0, then of
+        # each jump point) to locus s or the last member, both included
+        loci = [K + 1 + int(np.searchsorted(feet, xi))
+                for xi in (0.0,) + problem.phi.jump_points]
+        self.fences = np.array([K] + loci[1:])  # segment s ends at fence s
+        self.seg_end = np.append(self.fences + 1, M)
 
         self._latest = np.zeros((2, M))  # a and f of the latest row, by member
         x = np.clip(self.X[K:], 0.0, 1.0)
@@ -229,9 +232,9 @@ class _Fan:
 
     def first_row(self, out: np.ndarray):
         """Interpolate the member values at t = 0 onto the grid nodes."""
-        w = self.w0[self.first:self.stop] + self.Fq[self.first:self.stop]
-        self._interpolate(out, self.X, np.exp(self.A[self.first:self.stop]) * w,
-                          self.first, self.stop)
+        lo, hi = self.first, self.stop
+        w = np.exp(self.A[lo:hi]) * (self.w0[lo:hi] + self.Fq[lo:hi])
+        self._to_nodes(out[None], self.X[None], w[None], lo, np.array([lo]), np.array([hi]))
 
     def advance(self, k0: int, out: np.ndarray):
         """Step rows k0 .. k0 + B, injecting a boundary member at the wall on
@@ -273,9 +276,7 @@ class _Fan:
         del rows, a, f
         w = np.exp(A[1:])
         w *= self.w0[L:S] + Fq
-        for j in range(B):
-            lo, hi = L + (B - 1 - j), act[j, 1]
-            self._interpolate(out[j], X[j], w[j, lo - L:hi - L], lo, hi)
+        self._to_nodes(out, X, w, L, L + np.arange(B - 1, -1, -1), act[:, 1])
 
     @staticmethod
     def _integrated(start, g, h, idle):
@@ -289,37 +290,47 @@ class _Fan:
         out[1:][idle] = 0.0
         return np.cumsum(out, axis=0, out=out)
 
-    def _interpolate(self, out, X, w, lo, hi):
-        """Interpolate the values w of members [lo, hi), at positions X[lo:hi],
-        onto the grid nodes."""
+    def _to_nodes(self, out, X, w, L, lo, hi):
+        """Interpolate onto the grid nodes, one row of ``out`` per row of X,
+        which holds all positions; row r reads its window [lo[r], hi[r]) and
+        w[r] the values of the members from L on.  A node takes np.interp's
+        value within the segment of the first fence at or right of it.  A
+        member within 1e-13 of the one before it is dropped, but where it
+        starts a segment; the rare rows with such a pair remap their
+        brackets to the head of each cluster.
+        """
         xs = self.grid.xs
-        fences = np.minimum(X[self.locus_idx], 1.0)
-        fences[0] = min(X[self.i_sep_left], 1.0)
-        node_seg = np.searchsorted(fences, xs, side="left")
+        rows = np.arange(len(out))[:, None]
+        seg = np.zeros(out.shape, dtype=np.intp)
+        for fence in np.minimum(X[:, self.fences], 1.0).T:
+            seg += fence[:, None] < xs
+        end = np.minimum(self.seg_end[seg], hi[:, None]) - 1
+        j = np.array([np.searchsorted(X[r, a:b], xs, side="right") + (a - 1)
+                      for r, (a, b) in enumerate(zip(lo, hi))])
+        np.minimum(j, end, out=j)
+        nxt = j + 1
 
-        # segment 0: boundary members injected so far (reverse injection
-        # order); each segment ends at the window's end at the latest
-        end = min(self.K + 1, hi)
-        self._fill(out, xs, node_seg == 0, X[lo:end], w[:end - lo])
-        # interior segments between consecutive jump loci
-        for j, (i0, i1) in enumerate(self.segments, start=1):
-            mask = node_seg == j
-            if not np.any(mask):
-                continue
-            end = min(i1 + 1, hi)
-            self._fill(out, xs, mask, X[i0:end], w[i0 - lo:end - lo])
+        # gap[r, c] leads to member L + 1 + c; a pair across a row's window
+        # edge, or the separatrix and the member released with it, is no pair
+        gap = np.diff(X[:, L:L + w.shape[1]])
+        c = np.arange(L + 1, L + w.shape[1])
+        gap[(c <= lo[:, None]) | (c >= hi[:, None]) | (c == self.K + 1)] = np.inf
+        for r in np.flatnonzero((~(gap > 1e-13)).any(axis=1)):
+            l0, idx = lo[r], np.arange(lo[r], hi[r])
+            keep = np.concatenate([[True], gap[r, l0 - L:hi[r] - L - 1] > 1e-13])
+            kept = keep | np.isin(idx, self.fences[1:])  # a jump locus starts one
+            head = np.maximum.accumulate(np.where(kept, idx, l0))
+            after = np.minimum.accumulate(np.where(kept, idx, hi[r])[::-1])[::-1]
+            e = end[r]
+            end[r] = np.where(keep[e - l0], e, head[np.maximum(e - 1 - l0, 0)])
+            j[r] = np.minimum(head[j[r] - l0], end[r])
+            nxt[r] = after[np.minimum(j[r] + 1, e) - l0]
 
-    @staticmethod
-    def _fill(out, xs, mask, pos, vals):
-        if not np.any(mask):
-            return
-        keep = np.concatenate([[True], np.diff(pos) > 1e-13])
-        pos = pos[keep]
-        vals = vals[keep]
-        if len(pos) == 1:
-            out[mask] = vals[0]
-        else:
-            out[mask] = np.interp(xs[mask], pos, vals)
+        np.minimum(nxt, end, out=nxt)
+        xj, fj = X[rows, j], w[rows, j - L]
+        with np.errstate(divide="ignore", invalid="ignore"):  # at the ends, 0 / 0
+            out[:] = (w[rows, nxt - L] - fj) / (X[rows, nxt] - xj) * (xs - xj) + fj
+        np.copyto(out, fj, where=(j == end) | (xs == xj))
 
 
 def solve_field(problem: TransportProblem, grid: Grid,

@@ -4,8 +4,9 @@ Each evaluates one time or one row on its own, the way the certifier did
 before it computed norms and fading-memory maxima for all times at once,
 and the way the problem data were sampled before the blocked sampler.
 ``fan_values`` is the characteristic fan as it ran before it evaluated a
-and f a block of steps at a time.  ``Counted`` counts the calls a field or
-signal receives.
+and f a block of steps at a time, and before it interpolated a block of
+rows in one pass: one ``np.interp`` per segment of each row.  ``Counted``
+counts the calls a field or signal receives.
 """
 
 import math

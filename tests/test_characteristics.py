@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from transportlab.characteristics import CharacteristicEngine, CharacteristicsError
+from transportlab.characteristics import CharacteristicEngine, CharacteristicsError, rk4_step
 from transportlab.fields import Grid, VelocityField
+from transportlab.manufacturing import sampled_velocity
 
 # Closed-form oracles for v = 1 + x (solved by separation of variables):
 #   X(s; 0, x0) = (1 + x0) e^s - 1,   exit of x0=0 at s = ln 2
@@ -227,3 +228,27 @@ def test_seed_past_the_wall_is_bisected(monkeypatch):
     x0 = engine.backtrace_x0(t, x)
     assert _forward(calls)
     assert abs(march(0.0, x0, t) - x) <= 1e-10
+
+
+# --- a speed of t alone ----------------------------------------------------------
+
+SAMPLE_TIMES = np.linspace(0.0, 2.0, 21)
+SAMPLED = sampled_velocity(SAMPLE_TIMES, 1.0 + 0.4 * np.sin(3.0 * SAMPLE_TIMES))
+
+
+def test_only_sampled_speeds_are_read_once_per_stage_time():
+    assert SAMPLED._uniform_in_x
+    assert not any(v._uniform_in_x for v in (
+        VelocityField(lambda t, x: 1.0 + 0.0 * x), VelocityField.constant(1.3),
+        VelocityField.from_expression("1 + 0.5*sin(3*t)")))
+
+
+@pytest.mark.parametrize("h", [0.01, -0.013])
+def test_uniform_step_equals_the_array_step_bitwise(h):
+    # the plain wrapper reads the same speed at every stage and position
+    plain = VelocityField(SAMPLED)
+    xs = np.linspace(0.0, 1.0, 37)
+    for t in (0.0, 0.37, 1.2):
+        assert np.array_equal(rk4_step(SAMPLED, t, xs, h), rk4_step(plain, t, xs, h))
+        for x in (0.0, 0.3, 1.0):
+            assert rk4_step(SAMPLED, t, x, h).hex() == rk4_step(plain, t, x, h).hex()

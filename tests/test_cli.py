@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,51 @@ def test_overflowing_gain_reports_json(tmp_path, capsys, p):
     assert "overflows" in report["messages"][0]
     assert "Traceback" not in captured.err
     assert not (tmp_path / "slow_cert.csv").exists()
+
+
+OVERFLOWING_NORM = """\
+v = "1 + 0.2*x"
+b = "1e300*t"
+nx = 21
+dt = 0.02
+horizon = 0.4
+p = 2
+mu = 0.5
+"""
+
+
+@pytest.mark.parametrize("src,estimate", [
+    ("problem = continuity\nrho0 = \"1\"\nrho_s = 1\nestimates = E2.4\n", "E2.4"),
+    ("problem = transport\nphi = \"0\"\nestimates = E2.10\n", "E2.10"),
+], ids=["continuity", "transport"])
+def test_overflowing_state_norm_reports_json(tmp_path, capsys, src, estimate):
+    # the state is finite (about 1e298) but its square is not: an input
+    # error, not a failed certificate with an infinite left-hand side
+    path = write(tmp_path, "huge.txt", src + OVERFLOWING_NORM)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)])
+    assert rc == 2
+    assert [str(w.message) for w in warned] == []
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "EstimateValidityError"
+    assert report["messages"] == [f"{estimate} at p=2, t=0.02: the state norm overflows"]
+    assert "Traceback" not in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["huge.txt"]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sweep_count_below_one_reports_json(tmp_path, capsys, count):
+    path = write(tmp_path, "none.txt", TRANSPORT_SRC + f"count = {count}\n")
+    rc = cli.main(["run", path, "--mode", "sweep", "--seed", "5", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "ScenarioError"
+    assert report["messages"] == [f"count must be at least 1; got {count}"]
+    assert "Traceback" not in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["none.txt"]
 
 
 @pytest.mark.parametrize("mode", ["simulate", "oracle-compare"])

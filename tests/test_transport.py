@@ -16,6 +16,7 @@ from transportlab.fields import (
     TransportCoefficients,
     VelocityField,
 )
+from transportlab.manufacturing import sampled_velocity
 from transportlab.transport import (
     TransportProblem,
     decompose,
@@ -308,11 +309,33 @@ BLOCKED = dict(
 )
 
 
-@pytest.mark.parametrize("nt", [1, 31, 32, 33, 70])
-def test_blocked_fan_equals_the_step_by_step_fan(nt):
+NODES_41 = np.linspace(0.0, 1.0, 41)  # the nodes of the fan grids below
+
+
+@pytest.mark.parametrize("grid,data", [
     # at speed 2 to 2.5 members leave the strip on most steps, inside blocks
-    grid = Grid(41, 0.02, nt * 0.02)
-    prob = problem_of(**BLOCKED)
+    *(pytest.param(Grid(41, 0.02, nt * 0.02), BLOCKED, id=str(nt))
+      for nt in (1, 31, 32, 33, 70)),
+    # speed dx/dt: the separatrix and the locus of 0.5 land exactly on grid
+    # nodes, which take the left limit
+    pytest.param(Grid(41, 0.025, 1.0), dict(BLOCKED, v="1", jumps=(0.5,)),
+                 id="node-on-locus"),
+    # jump points 5e-14 before one grid node and after another, so two pairs
+    # stay within 1e-13 on every row: the node member after the first locus
+    # is dropped inside its segment, and the second locus is dropped as the
+    # end of one segment but starts the next
+    pytest.param(Grid(41, 0.02, 0.4),
+                 dict(BLOCKED, v="1 + 0.1*x",
+                      jumps=(NODES_41[12] - 5e-14, NODES_41[18] + 5e-14)),
+                 id="near-coincident"),
+    # a node between two loci 1e-13 apart: their segment keeps one member
+    pytest.param(Grid(41, 0.02, 0.4),
+                 dict(BLOCKED, jumps=(NODES_41[30] - 5e-14, NODES_41[30] + 5e-14)),
+                 id="single-member-segment"),
+])
+def test_blocked_fan_equals_the_step_by_step_fan(grid, data):
+    # row 0 is interpolated on its own, the other rows a block at a time
+    prob = problem_of(**data)
     assert np.array_equal(solve_field(prob, grid).values, reference_forms.fan_values(prob, grid))
     parts = decompose(prob, grid)
     flags = [(False, True, False), (True, False, False), (False, False, True)]
@@ -330,3 +353,39 @@ def test_solve_field_evaluates_a_and_f_once_per_block(nt):
     prob.coeffs = TransportCoefficients(a=a, f=f)
     solve_field(prob, grid)
     assert a.calls == f.calls == 1 + math.ceil(nt / ROW_BLOCK)
+
+
+# --- a speed of t alone ----------------------------------------------------------
+
+FAN_TIMES = np.linspace(0.0, 1.0, 41)
+
+
+def _sampled_problem():
+    prob = problem_of(**dict(BLOCKED, v="1"))
+    prob.v = sampled_velocity(FAN_TIMES, 1.2 + 0.3 * np.cos(4.0 * FAN_TIMES))
+    return prob
+
+
+def test_sampled_speed_is_read_three_times_per_fan_step_at_a_scalar_x(monkeypatch):
+    prob, grid = _sampled_problem(), Grid(41, 0.02, 1.0)
+    dims, read = [], type(prob.v).__call__
+
+    def spy(self, t, x):
+        dims.append(np.ndim(x))
+        return read(self, t, x)
+
+    monkeypatch.setattr(type(prob.v), "__call__", spy)
+    solve_field(prob, grid)
+    assert len(dims) == 3 * grid.nt
+    assert set(dims) == {0}
+
+
+def test_sampled_speed_leaves_fields_and_points_bitwise_unchanged():
+    grid = Grid(41, 0.02, 1.0)
+    probs = [_sampled_problem() for _ in range(2)]
+    probs[1].v = VelocityField(probs[1].v)  # read at every stage and position
+    fields = [solve_field(prob, grid).values for prob in probs]
+    assert np.array_equal(fields[0], fields[1])
+    for t, x in [(0.6, 0.2), (0.3, 0.9)]:
+        a, b = (solve_point(prob, grid, t, x) for prob in probs)
+        assert a.hex() == b.hex()
