@@ -21,7 +21,11 @@ Every propagation, here and in the field solver's fan, takes steps of the
 one function ``rk4_step``.  It evaluates v at x clamped to [0, 1] so that
 intermediate RK4 stages and bracket endpoints slightly outside the strip
 remain well-defined; this is the usual Lipschitz extension of the velocity
-off the domain, and a speed of t alone moves every position alike.
+off the domain, and a speed of t alone moves every position alike.  The
+scalar steps of this module read v on Python floats: an expression speed
+through its float function (``SpaceTimeField.on_floats``), so a flow, march
+or inverse makes no numpy call per stage.  The fan's array steps read v
+through its numpy function, as every field does.
 """
 
 from __future__ import annotations
@@ -49,27 +53,28 @@ class CharacteristicsError(ValueError):
     """Precondition or convergence failure in a characteristics query."""
 
 
-def _clamped(v: VelocityField, t, x):
-    """v at positions clamped to the strip; x is a float or an array."""
-    if isinstance(x, float):
-        return v(t, min(max(x, 0.0), 1.0))
-    return v(t, x.clip(0.0, 1.0))
-
-
 def rk4_step(v: VelocityField, t, x, h):
     """One classical RK4 step of dX/ds = v(s, X) from X(t) = x to time t + h;
-    h < 0 steps back in time.  A speed of t alone (``_uniform_in_x``) is read
-    once per stage time, at x = 0: each position moves by the displacement
-    the array form gives it, bit for bit."""
+    h < 0 steps back in time; x is a float or an array.  A speed of t alone
+    (``_uniform_in_x``) is read once per stage time, at x = 0: each position
+    moves by the displacement the array form gives it, bit for bit.  Any
+    other speed is read at positions clamped to [0, 1], through
+    ``v.on_floats`` when x is a float."""
     if v._uniform_in_x:
         k1 = v(t, 0.0)
         k2 = k3 = v(t + 0.5 * h, 0.0)
         k4 = v(t + h, 0.0)
+    elif isinstance(x, float):
+        f = v.on_floats
+        k1 = f(t, min(max(x, 0.0), 1.0))
+        k2 = f(t + 0.5 * h, min(max(x + 0.5 * h * k1, 0.0), 1.0))
+        k3 = f(t + 0.5 * h, min(max(x + 0.5 * h * k2, 0.0), 1.0))
+        k4 = f(t + h, min(max(x + h * k3, 0.0), 1.0))
     else:
-        k1 = _clamped(v, t, x)
-        k2 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k1)
-        k3 = _clamped(v, t + 0.5 * h, x + 0.5 * h * k2)
-        k4 = _clamped(v, t + h, x + h * k3)
+        k1 = v(t, x.clip(0.0, 1.0))
+        k2 = v(t + 0.5 * h, (x + 0.5 * h * k1).clip(0.0, 1.0))
+        k3 = v(t + 0.5 * h, (x + 0.5 * h * k2).clip(0.0, 1.0))
+        k4 = v(t + h, (x + h * k3).clip(0.0, 1.0))
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 

@@ -47,9 +47,10 @@ def solve_continuity(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
     rho0.validate_positive(grid.xs)
     problem = log_state_problem(rho_s, rho0, b, v)
     w = solve_field(problem, grid)
+    with np.errstate(over="ignore"):  # check_finite rejects an overflow
+        rho = rho_s * np.exp(w.values)
     return SolutionField(
-        grid=grid, times=w.times, xs=w.xs,
-        values=rho_s * np.exp(w.values),
+        grid=grid, times=w.times, xs=w.xs, values=rho,
         kind="rho", component="full",
     ).check_finite()
 

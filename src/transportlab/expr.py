@@ -10,13 +10,24 @@ A small recursive-descent parser over the grammar
 
 with functions exp, ln, sin, cos, sqrt, abs, min, max and constants pi, e.
 Exponentiation binds tighter than unary minus, so ``-2^2 == -4`` and
-``2^3^2 == 512``.  Parsed trees are immutable.  An expression compiles once,
-on its first evaluation, into straight-line numpy code; evaluation stays
-reentrant and accepts scalar or ndarray bindings (broadcasting applies).
+``2^3^2 == 512``.  Parsed trees are immutable.
+
+One compiler turns a tree into straight-line code, with either of two
+runtime tables.  Calling an expression runs its numpy function, compiled on
+the first call: it is reentrant and accepts scalar or ndarray bindings
+(broadcasting applies).  ``Expression.float_function`` returns its float
+function, compiled on the first scalar read: the Python floats t and x as
+positional arguments, ``math`` functions, no binding mapping.  Sums,
+differences, products, quotients, negation, abs, min and max give the same
+bits on both; exp, ln, sin, cos and ^ may differ by an ulp.
 
 Evaluation raises ExpressionDomainError for ln or sqrt outside their
 domain, division by zero, a quotient, power or exp that is not finite, and
 an unbound variable; sums, differences and products follow IEEE arithmetic.
+The float function raises on exactly the same inputs, with the same
+messages: ``math``'s ValueError and OverflowError from ^ and exp become
+these errors, sin and cos of an infinity give NaN, and min and max
+propagate NaN, as their numpy counterparts do.
 """
 
 from __future__ import annotations
@@ -301,6 +312,66 @@ def _sqrt(x):
     return np.sqrt(x)
 
 
+# the same rules on Python floats, for the float function
+
+def _div_float(a, b):
+    if b == 0:
+        raise ExpressionDomainError("division by zero")
+    out = a / b
+    if not math.isfinite(out):
+        raise ExpressionDomainError("division produced a non-finite value")
+    return out
+
+
+def _pow_float(a, b):
+    try:
+        out = math.pow(a, b)
+    except (ValueError, OverflowError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ExpressionDomainError("power produced a non-finite value")
+    return out
+
+
+def _exp_float(x):
+    try:
+        out = math.exp(x)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ExpressionDomainError("exp overflow")
+    return out
+
+
+def _ln_float(x):
+    if x <= 0:
+        raise ExpressionDomainError("ln of a non-positive value")
+    return math.log(x)
+
+
+def _sqrt_float(x):
+    if x < 0:
+        raise ExpressionDomainError("sqrt of a negative value")
+    return math.sqrt(x)
+
+
+def _sin_float(x):
+    return math.sin(x) if math.isfinite(x) else math.nan  # math.sin(inf) raises
+
+
+def _cos_float(x):
+    return math.cos(x) if math.isfinite(x) else math.nan
+
+
+def _min_float(a, b):
+    # np.minimum: NaN from either side, b on a tie (so min(0, -0) is -0)
+    return a if a < b or a != a else b
+
+
+def _max_float(a, b):
+    return a if a > b or a != a else b
+
+
 # generated code refers to helpers by these names; user text never reaches it
 _RUNTIME = {
     "_binding": _binding, "_div": _div, "_pow": _pow,
@@ -308,23 +379,34 @@ _RUNTIME = {
     "_fn_sqrt": _sqrt, "_fn_abs": np.abs, "_fn_min": np.minimum,
     "_fn_max": np.maximum,
 }
+_FLOAT_RUNTIME = {
+    "_binding": _binding, "_div": _div_float, "_pow": _pow_float,
+    "_fn_exp": _exp_float, "_fn_ln": _ln_float, "_fn_sin": _sin_float,
+    "_fn_cos": _cos_float, "_fn_sqrt": _sqrt_float, "_fn_abs": abs,
+    "_fn_min": _min_float, "_fn_max": _max_float,
+}
+_FLOAT_PARAMS = ("t", "x")
 _BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
            "/": "_div({}, {})", "^": "_pow({}, {})"}
 
 
-def _compile(root: Node):
-    """Turn a tree into one Python function of the binding mapping.
+def _compile(root: Node, runtime: Mapping[str, object] = _RUNTIME):
+    """Turn a tree into one Python function with the given runtime table.
 
-    Nodes become assignments in post-order, so operands are evaluated left
-    to right as a recursive walk would, with the same numpy calls on the same
-    operand types: results are bit-identical to walking the tree, and
-    straight-line code has no nesting limit.  Constants and variable names
-    live in the function's globals rather than in its source, and each
-    variable is looked up once, at its first use.  Each intermediate has one
-    consumer, so its name is reused once that consumer is emitted: a call
-    holds only the intermediates still live, not one array per node.
+    With ``_RUNTIME`` the function takes the binding mapping; with
+    ``_FLOAT_RUNTIME`` it takes t and x as positional arguments, and any
+    other variable is unbound.  Nodes become assignments in post-order, so
+    operands are evaluated left to right as a recursive walk would, with the
+    same calls on the same operand types: results are bit-identical to
+    walking the tree, and straight-line code has no nesting limit.
+    Constants and variable names live in the function's globals rather than
+    in its source, and each variable is looked up once, at its first use.
+    Each intermediate has one consumer, so its name is reused once that
+    consumer is emitted: a call holds only the intermediates still live,
+    not one array per node.
     """
-    namespace = dict(_RUNTIME)
+    floats = runtime is _FLOAT_RUNTIME
+    namespace = dict(runtime)
     lines: list[str] = []
     slots: dict[str, str] = {}
     temps: set[str] = set()
@@ -336,11 +418,14 @@ def _compile(root: Node):
             namespace[name] = node.value
             return name
         if isinstance(node, Var):
+            if floats and node.name in _FLOAT_PARAMS:
+                return node.name
             if node.name not in slots:
                 key = f"_n{len(namespace)}"
                 namespace[key] = node.name
                 slots[node.name] = f"_v{len(slots)}"
-                lines.append(f"{slots[node.name]} = _binding(env, {key})")
+                env = "{}" if floats else "env"
+                lines.append(f"{slots[node.name]} = _binding({env}, {key})")
             return slots[node.name]
         if isinstance(node, Neg):
             args = [emit(node.arg)]
@@ -348,7 +433,7 @@ def _compile(root: Node):
         elif isinstance(node, BinOp) and node.op in _BINOPS:
             args = [emit(node.left), emit(node.right)]
             code = _BINOPS[node.op].format(*args)
-        elif isinstance(node, Call) and f"_fn_{node.func}" in _RUNTIME:
+        elif isinstance(node, Call) and f"_fn_{node.func}" in runtime:
             args = [emit(a) for a in node.args]
             code = f"_fn_{node.func}({', '.join(args)})"
         else:
@@ -361,7 +446,8 @@ def _compile(root: Node):
 
     result = emit(root)
     body = "".join(f"    {line}\n" for line in lines)
-    exec(f"def _compiled(env):\n{body}    return {result}\n", namespace)
+    params = ", ".join(_FLOAT_PARAMS) if floats else "env"
+    exec(f"def _compiled({params}):\n{body}    return {result}\n", namespace)
     return namespace["_compiled"]
 
 
@@ -414,7 +500,8 @@ class Expression:
     """An immutable parsed expression; call it with keyword bindings.
 
     The tree compiles on the first evaluation and the compiled function is
-    kept with the expression; it holds no state between calls.
+    kept with the expression; it holds no state between calls.  The float
+    function compiles apart, on the first call of ``float_function``.
     """
 
     root: Node
@@ -422,12 +509,22 @@ class Expression:
     variables: frozenset[str]
     _compiled: Optional[Callable] = field(default=None, init=False, repr=False,
                                           compare=False)
+    _compiled_float: Optional[Callable] = field(default=None, init=False,
+                                                repr=False, compare=False)
 
     def _evaluator(self) -> Callable:
         fn = self._compiled
         if fn is None:
             fn = _compile(self.root)
             object.__setattr__(self, "_compiled", fn)
+        return fn
+
+    def float_function(self) -> Callable:
+        """The expression as a function of the Python floats (t, x)."""
+        fn = self._compiled_float
+        if fn is None:
+            fn = _compile(self.root, _FLOAT_RUNTIME)
+            object.__setattr__(self, "_compiled_float", fn)
         return fn
 
     def __call__(self, **bindings):

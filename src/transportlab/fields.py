@@ -96,7 +96,13 @@ def _filled(v: float) -> Callable:
 
 
 class SpaceTimeField:
-    """A function of (t, x); ``ddx`` is a central difference unless given."""
+    """A function of (t, x); ``ddx`` is a central difference unless given.
+
+    ``on_floats`` is the function to read at Python floats t and x: the
+    expression's float function for a field built from one, else ``fn``.
+    """
+
+    _expression: Optional[Expression] = None  # set by from_expression only
 
     def __init__(self, fn: Callable, ddx_fn: Optional[Callable] = None):
         self._fn = fn
@@ -105,7 +111,14 @@ class SpaceTimeField:
     @classmethod
     def from_expression(cls, source: Union[str, Expression]) -> "SpaceTimeField":
         e = _as_expression(source, ("t", "x"))
-        return cls(lambda t, x: e(t=t, x=x))
+        out = cls(lambda t, x: e(t=t, x=x))
+        out._expression = e
+        return out
+
+    @property
+    def on_floats(self) -> Callable:
+        e = self._expression
+        return self._fn if e is None else e.float_function()
 
     @classmethod
     def constant(cls, value: float) -> "SpaceTimeField":

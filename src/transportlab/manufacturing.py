@@ -348,6 +348,8 @@ def sampled_velocity(times: np.ndarray, values: np.ndarray) -> VelocityField:
     vs = np.asarray(values, dtype=float)
 
     def fn(t, x):
+        if isinstance(t, float) and isinstance(x, float):
+            return float(np.interp(t, ts, vs))
         val = np.interp(t, ts, vs)
         shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
         return val * np.ones(shape) if shape else float(val)

@@ -6,7 +6,9 @@ and the way the problem data were sampled before the blocked sampler.
 ``fan_values`` is the characteristic fan as it ran before it evaluated a
 and f a block of steps at a time, and before it interpolated a block of
 rows in one pass: one ``np.interp`` per segment of each row.  ``Counted``
-counts the calls a field or signal receives.
+counts the calls a field or signal receives.  ``numpy_speed`` reads an
+expression speed through its numpy function at Python floats too, as the
+scalar RK4 steps did before they read its float function.
 """
 
 import math
@@ -15,6 +17,7 @@ import numpy as np
 
 from transportlab.bounds import boundary_coefficient, mu_is_valid
 from transportlab.characteristics import rk4_step
+from transportlab.fields import VelocityField
 from transportlab.norms import heaviside_h
 
 INF = math.inf
@@ -30,6 +33,11 @@ class Counted:
     def __call__(self, *args):
         self.calls += 1
         return self.fn(*args)
+
+
+def numpy_speed(e):
+    """A speed that calls the expression ``e`` at every read, floats included."""
+    return VelocityField(lambda t, x: e(t=t, x=x))
 
 
 def fading_memory_max(times, values, t, mu, vmin):

@@ -287,6 +287,24 @@ def test_overflowing_state_norm_reports_json(tmp_path, capsys, src, estimate):
     assert sorted(os.listdir(tmp_path)) == ["huge.txt"]
 
 
+def test_overflowing_density_reports_json_without_warning(tmp_path, capfd):
+    # w is finite but rho_s * exp(w) is not: the density check refuses the
+    # field, with no overflow warning on stderr before the JSON error
+    src = "problem = continuity\nrho0 = \"1\"\nrho_s = 1\n" + OVERFLOWING_NORM
+    path = write(tmp_path, "dense.txt", src)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", path, "--mode", "simulate", "--out", str(tmp_path)])
+    assert rc == 2
+    assert [str(w.message) for w in warned] == []
+    captured = capfd.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "FieldValidationError"
+    assert report["messages"] == ["density is not finite at t = 0.02, x = 0.0"]
+    assert "RuntimeWarning" not in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_sweep_count_below_one_reports_json(tmp_path, capsys, count):
     path = write(tmp_path, "none.txt", TRANSPORT_SRC + f"count = {count}\n")

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transportlab import expr
 from transportlab.expr import (
@@ -141,6 +142,97 @@ def test_print_parse_round_trip(root, t, x):
         return  # division by zero under random operands; nothing to compare
     b = reparsed(t=t, x=x)
     assert abs(a - b) <= ROUNDTRIP_TOL
+
+
+# --- the float function against the numpy function ------------------------
+
+_hostile = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, -1.0, 1000.0, math.nan, math.inf, -math.inf]),
+)
+# a generated tree, alone or under a function that can fail or round apart
+_float_tree = st.one_of(
+    _ast,
+    st.tuples(st.sampled_from(["exp", "ln", "sqrt", "sin", "cos"]), _ast).map(
+        lambda p: expr.Call(p[0], (p[1],))),
+    st.tuples(_ast, _ast).map(lambda p: expr.BinOp("^", p[0], p[1])),
+)
+
+
+def _exact(node):
+    """True for trees of + - * /, negation, abs, min and max."""
+    if isinstance(node, expr.BinOp):
+        return node.op in "+-*/" and _exact(node.left) and _exact(node.right)
+    if isinstance(node, expr.Call):
+        return node.func in ("abs", "min", "max") and all(_exact(a) for a in node.args)
+    if isinstance(node, expr.Neg):
+        return _exact(node.arg)
+    return True
+
+
+def _outcome(fn, t, x):
+    try:
+        return float(fn(t, x)), None
+    except ExpressionDomainError as err:
+        return None, str(err)
+
+
+def _call(name, *args):
+    return expr.Call(name, args)
+
+
+_X, _T = expr.Var("x"), expr.Var("t")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_float_tree, _hostile, _hostile)
+@example(_call("sin", _X), 0.0, math.inf)
+@example(_call("cos", _X), 0.0, -math.inf)
+@example(_call("exp", _X), 0.0, 1000.0)
+@example(_call("exp", _X), 0.0, math.nan)
+@example(_call("exp", _X), 0.0, math.inf)
+@example(_call("ln", _X), 0.0, -1.0)
+@example(_call("ln", _X), 0.0, 0.0)
+@example(_call("ln", _X), 0.0, math.nan)
+@example(_call("sqrt", _X), 0.0, -1.0)
+@example(_call("sqrt", _X), 0.0, math.nan)
+@example(expr.BinOp("/", _T, _X), 1.0, 0.0)
+@example(expr.BinOp("/", _T, _X), math.nan, 1.0)
+@example(expr.BinOp("^", _X, _T), 0.5, -8.0)
+@example(expr.BinOp("^", _X, _T), 1000.0, 10.0)
+@example(expr.BinOp("^", _X, _T), -1.0, 0.0)
+@example(_call("min", _T, _X), math.nan, 1.0)
+@example(_call("max", _T, _X), 1.0, math.nan)
+@example(_call("min", _T, _X), 0.0, -0.0)
+@example(_call("max", _T, _X), -0.0, 0.0)
+def test_float_function_matches_numpy_function(root, t, x):
+    e = expr.Expression(root, expr._fmt(root), frozenset({"t", "x"}))
+    with np.errstate(all="ignore"):
+        want, want_err = _outcome(lambda t, x: e(t=t, x=x), t, x)
+    got, got_err = _outcome(e.float_function(), t, x)
+    assert got_err == want_err  # both raise, with one message, or neither
+    if want_err is not None or (math.isnan(got) and math.isnan(want)):
+        return
+    if _exact(root):
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    else:
+        assert math.isclose(got, want, rel_tol=1e-13)
+
+
+def test_float_function_takes_t_and_x_only():
+    assert parse("t - 2*x").float_function()(1.0, 0.25) == 0.5
+    assert parse("x").float_function()(0.0, 0.75) == 0.75
+    e = parse("1/(1+W)", allowed_vars=("W",))
+    with pytest.raises(ExpressionDomainError, match="no binding for variable 'W'"):
+        e.float_function()(0.0, 0.0)
+
+
+def test_float_function_compiles_once_on_first_use():
+    e = parse("1 + 0.2*sin(pi*x)*cos(t)")
+    assert e._compiled_float is None
+    f = e.float_function()
+    assert e.float_function() is f
+    assert e._compiled is None  # the numpy function compiles apart
 
 
 def test_round_trip_spec_examples():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from transportlab.characteristics import CharacteristicEngine
+from transportlab.expr import Expression, parse
 from transportlab.fields import (
     ROW_BLOCK,
     BoundarySignal,
@@ -247,6 +248,63 @@ def test_distinct_queries_leave_a_bounded_number_of_stored_paths():
     assert (path.t0, path.x0) == (t0, x0)
     assert not [v for v in vars(engine).values() if isinstance(v, (dict, list))]
     assert engine._separatrix is not None
+
+
+# --- scalar steps read the float function -------------------------------------
+
+SCALAR_SPEED = "1 + 0.2*sin(3.14159*x)*cos(t) + 0.1*exp(-x)"
+# two initial-data points, two boundary-fed points
+SCALAR_QUERIES = ((0.4, 0.9), (0.7, 0.95), (0.6, 0.2), (0.9, 0.05))
+
+
+def scalar_problem(v):
+    return TransportProblem(
+        phi=InitialProfile.from_expression("sin(2*x)"),
+        b=BoundarySignal.from_expression("cos(t)"), v=v,
+        coeffs=TransportCoefficients(a=SpaceTimeField.from_expression("-0.1"),
+                                     f=SpaceTimeField.from_expression("0.05*cos(t)")))
+
+
+def expression_calls(monkeypatch, prob, grid):
+    """Expression calls made by the queries, once the engine has its grid
+    rows and separatrix."""
+    for t, x in SCALAR_QUERIES:
+        solve_point(prob, grid, t, x)
+    calls = []
+    call = Expression.__call__
+
+    def counted(self, **bindings):
+        calls.append(self)
+        return call(self, **bindings)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Expression, "__call__", counted)
+        for t, x in SCALAR_QUERIES:
+            solve_point(prob, grid, t, x)
+    return len(calls)
+
+
+def test_scalar_steps_make_no_expression_call(monkeypatch):
+    e = parse(SCALAR_SPEED)
+    counts = {}
+    for dt in (1e-2, 2.5e-3):
+        grid = Grid(101, dt, 1.0)
+        counts[dt] = (
+            expression_calls(monkeypatch, scalar_problem(VelocityField.from_expression(e)), grid),
+            expression_calls(monkeypatch, scalar_problem(reference_forms.numpy_speed(e)), grid))
+    # a and f along each path, then phi or b at the foot: none per RK4 step
+    assert counts[1e-2][0] == counts[2.5e-3][0] == 3 * len(SCALAR_QUERIES)
+    # the reference reads v through the expression at every stage
+    assert counts[2.5e-3][1] > counts[1e-2][1] > counts[1e-2][0]
+
+
+def test_float_steps_match_numpy_steps():
+    e = parse(SCALAR_SPEED)
+    grid = Grid(101, 2.5e-3, 1.0)
+    prob = scalar_problem(VelocityField.from_expression(e))
+    ref = scalar_problem(reference_forms.numpy_speed(e))
+    for t, x in SCALAR_QUERIES:
+        assert abs(solve_point(prob, grid, t, x) - solve_point(ref, grid, t, x)) <= 1e-12
 
 
 # --- the fan's work -----------------------------------------------------------
