@@ -21,8 +21,8 @@ from .manufacturing import (ClosedLoopRun, ManufacturingError,
                             envelope_check, fixed_point_velocity,
                             manufacturing_run, simulate_closed_loop,
                             terminal_time)
-from .norms import (NormTrace, fading_memory_max, heaviside_h, lp_log_norm,
-                    lp_norm, sup_log_norm)
+from .norms import (fading_memory_max, heaviside_h, lp_log_norm, lp_norm,
+                    sup_log_norm)
 from .oracle import upwind_solve
 from .scenarios import (Scenario, ScenarioError, load_scenario,
                         parse_scenario_text, random_continuity_scenario,
@@ -64,7 +64,6 @@ __all__ = [
     "manufacturing_run",
     "simulate_closed_loop",
     "terminal_time",
-    "NormTrace",
     "fading_memory_max",
     "heaviside_h",
     "lp_log_norm",

@@ -1,14 +1,15 @@
 """Stability certificates: norm bounds checked along simulated trajectories.
 
 Each estimate bounds a state norm by a decaying overshoot term plus gain
-terms over fading-memory maxima of the inputs.  The certifier evaluates
-left- and right-hand sides at every grid time and reports margins; norms
-and fading-memory maxima come from the array forms in ``norms``, and a
-term that overflows a float is an ``EstimateValidityError``.  The
-pass/fail slack couples a fixed 1e-6 with a measured discretization
-indicator (ten times the change in the LHS when the spatial grid is
-coarsened 2x), so exact statements about exact solutions are not failed
-for grid error, yet a genuine violation cannot hide behind it.
+terms over fading-memory maxima of the inputs.  ``certify`` is the one place
+a bound is evaluated: it computes left- and right-hand sides at every grid
+time of a run and reports margins.  Norms and fading-memory maxima come from
+the array forms in ``norms``, the running extremals at grid time k are row k
+of the run's ``Extremals``, and a term that overflows a float is an
+``EstimateValidityError``.  The pass/fail slack couples a fixed 1e-6 with a
+measured discretization indicator (ten times the change in the LHS when the
+spatial grid is coarsened 2x), so exact statements about exact solutions are
+not failed for grid error, yet a genuine violation cannot hide behind it.
 
 A note on the boundary-input coefficient: two algebraically different
 displays of it circulate, one carrying a leading vmin factor inside the
@@ -43,9 +44,7 @@ from .fields import (
 )
 from .norms import (
     Extremals,
-    NormTrace,
     extremals,
-    fading_memory_max,
     fading_memory_maxima,
     heaviside_h,
     lp_log_norm,
@@ -63,9 +62,6 @@ __all__ = [
     "canonical_estimate",
     "mu_is_valid",
     "boundary_coefficient",
-    "rhs_transport",
-    "rhs_continuity",
-    "rhs_manufacturing",
     "transport_run",
     "continuity_run",
     "certify",
@@ -170,42 +166,6 @@ def _rhs_flush(estimate_id, p, mu, t, r, phi_norm, b_max):
     return _total(estimate_id, p, mu, t, (term1, 0.0, coef * b_max)), coef
 
 
-def _maxima_at(t, mu, vmin, *signals):
-    return [fading_memory_max(s.times, np.abs(s.values), t, mu, vmin) for s in signals]
-
-
-def rhs_transport(p, mu: float, t: float, ext: Extremals, phi_norm: float,
-                  f_signal: NormTrace, b_signal: NormTrace) -> float:
-    """Bound on ||w[t]||_p for the general transport equation."""
-    vmin, vmax, a_max = ext.at(t)
-    if not mu_is_valid("E2.10", p, mu, vmin, vmax, a_max):
-        raise EstimateValidityError(
-            f"mu={mu} inadmissible for the transport estimate at t={t}")
-    return _rhs_core("E2.10", p, mu, t, vmin, vmax, a_max, phi_norm,
-                     *_maxima_at(t, mu, vmin, f_signal, b_signal))[0]
-
-
-def rhs_continuity(p, mu: float, t: float, ext: Extremals, phi_norm: float,
-                   slope_signal: NormTrace, b_signal: NormTrace) -> float:
-    """Bound on ||ln(rho[t]/rho_s)||_p; the reaction-free specialization."""
-    vmin, vmax, _ = ext.at(t)
-    if not mu_is_valid("E2.4", p, mu, vmin, vmax):
-        raise EstimateValidityError(
-            f"mu={mu} inadmissible for the continuity estimate at t={t}")
-    return _rhs_core("E2.4", p, mu, t, vmin, vmax, 0.0, phi_norm,
-                     *_maxima_at(t, mu, vmin, slope_signal, b_signal))[0]
-
-
-def rhs_manufacturing(p, mu: float, t: float, r: float, phi_norm: float,
-                      b_signal: NormTrace) -> float:
-    """Closed-loop bound: flush after the terminal time r plus boundary gain."""
-    if not mu_is_valid("E3.6", p, mu, 1.0 / r):
-        raise EstimateValidityError(
-            f"mu={mu} inadmissible for the manufacturing estimate (needs mu > 0)")
-    return _rhs_flush("E3.6", p, mu, t, r, phi_norm,
-                      *_maxima_at(t, mu, 1.0 / r, b_signal))[0]
-
-
 # ---------------------------------------------------------------------------
 # Trajectory runs: everything a certificate needs, at two resolutions
 # ---------------------------------------------------------------------------
@@ -223,8 +183,8 @@ class TrajectoryRun:
     grid: Grid
     state: SolutionField
     state_coarse: SolutionField
-    ext: Optional[Extremals]
-    b_trace: NormTrace
+    ext: Optional[Extremals]      # running extremals, one row per grid time
+    b_values: np.ndarray          # boundary signal at each grid time
     f_rows: Optional[np.ndarray]  # rows of the source whose L^p feeds the gain
     phi_row: np.ndarray           # data profile on grid.xs, already on the w scale
     rho_s: float = 1.0
@@ -251,8 +211,7 @@ def transport_run(problem: TransportProblem, grid: Grid) -> TrajectoryRun:
     return TrajectoryRun(
         kind="transport", grid=grid, state=fine, state_coarse=coarse,
         ext=extremals(problem.v, grid, problem.coeffs.a),
-        b_trace=NormTrace(times=grid.times, values=b_values,
-                          p=INF, label="boundary signal"),
+        b_values=b_values,
         f_rows=sample_grid(problem.coeffs.f, grid),
         phi_row=np.asarray(problem.phi(grid.xs), dtype=float) * np.ones_like(grid.xs),
     )
@@ -318,9 +277,9 @@ def certify(run: TrajectoryRun, estimate_id: str, ps: Sequence,
     if flush:  # the speed floor 1/r, no slope or reaction terms
         vmins, vmaxs, a_maxs = np.full(n, 1.0 / run.r), [0.0] * n, [0.0] * n
     else:
-        rows = [run.ext.index_for(t) for t in ts]
-        vmins = run.ext.vmin[rows]
-        vmaxs, a_maxs = run.ext.dvdx_max[rows].tolist(), run.ext.a_max[rows].tolist()
+        # the run's times are its grid's, so cell k reads extremals row k
+        vmins = run.ext.vmin
+        vmaxs, a_maxs = run.ext.dvdx_max.tolist(), run.ext.a_max.tolist()
     vmin_list = vmins.tolist()
 
     def maxima(values, mu):
@@ -328,7 +287,7 @@ def certify(run: TrajectoryRun, estimate_id: str, ps: Sequence,
         with np.errstate(over="ignore", invalid="ignore"):
             return fading_memory_maxima(times, np.abs(values), times, mu, vmins).tolist()
 
-    b_maxima = {mu: maxima(run.b_trace.values, mu) for mu in dict.fromkeys(mus)}
+    b_maxima = {mu: maxima(run.b_values, mu) for mu in dict.fromkeys(mus)}
     certs = []
     for p in ps:
         cert_id = _SUP_TWIN[base] if p == INF else base

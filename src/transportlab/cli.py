@@ -27,12 +27,11 @@ from .bounds import (EstimateValidityError, bias_experiment,
 from .characteristics import CharacteristicsError
 from .continuity import log_state_problem
 from .expr import ExpressionError
-from .fields import (BoundarySignal, FieldValidationError, Grid,
-                     InitialProfile, VelocityField, row_blocks)
+from .fields import FieldValidationError, Grid, row_blocks
 from .manufacturing import ManufacturingError
 from .norms import lp_norm_rows
 from .oracle import OracleError, upwind_solve
-from .scenarios import (Scenario, ScenarioError, load_scenario,
+from .scenarios import (Scenario, ScenarioError, continuity_data, load_scenario,
                         random_continuity_scenario, random_transport_scenario,
                         simulation, trajectory_run, transport_problem)
 from .transport import solve_field
@@ -124,9 +123,7 @@ def _oracle_problem(sc: Scenario):
     if sc.problem == "transport":
         return transport_problem(sc)
     if sc.problem == "continuity":
-        return log_state_problem(sc.rho_s, InitialProfile.from_expression(sc.rho0),
-                                 BoundarySignal.from_expression(sc.b),
-                                 VelocityField.from_expression(sc.v))
+        return log_state_problem(sc.rho_s, *continuity_data(sc))
     raise ScenarioError(["oracle-compare applies to transport and "
                          "continuity scenarios"])
 

@@ -44,7 +44,6 @@ __all__ = [
     "ExpressionSyntaxError",
     "ExpressionDomainError",
     "parse",
-    "evaluate",
     "to_string",
 ]
 
@@ -539,11 +538,6 @@ def parse(text: str, allowed_vars=("t", "x")) -> Expression:
         raise ExpressionSyntaxError("empty expression", 0)
     root = _Parser(tokens, text, allowed).parse()
     return Expression(root, text, allowed)
-
-
-def evaluate(expression: Expression, bindings: Mapping[str, object]):
-    """Evaluate with scalar or ndarray bindings (numpy broadcasting)."""
-    return expression._evaluator()(bindings)
 
 
 def to_string(expression: Expression) -> str:

@@ -24,12 +24,12 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .bounds import INF, TrajectoryRun
+from .bounds import TrajectoryRun
 from .continuity import solve_continuity
 from .expr import Expression, parse
 from .fields import (FD_STEP, BoundarySignal, Grid, InitialProfile,
                      VelocityField, _filled)
-from .norms import NormTrace, cumulative_trapezoid
+from .norms import cumulative_trapezoid
 from .transport import SolutionField
 
 __all__ = [
@@ -207,22 +207,27 @@ class FixedPointReport:
     v_start: float
 
 
-def _inventory_rows(rho_fn: Callable, btilde: Callable, win_times: np.ndarray,
-                    V: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Density rows induced by a candidate speed: rigid transport of the
-    window's starting profile where it has not yet run off, inflow history
-    elsewhere (a node sitting exactly on the split takes the inflow side)."""
-    feet = xs[None, :] - V[:, None]
+def _state_at(rho_fn: Callable, btilde: Callable, win_times: np.ndarray,
+              V: np.ndarray, feet: np.ndarray) -> np.ndarray:
+    """Density at points whose characteristic feet are ``feet`` (x minus the
+    distance V travelled): rigid transport of the window's starting profile
+    where the foot has not yet run off, inflow history elsewhere (a foot
+    sitting exactly on the split takes the inflow side)."""
+    out = np.empty(feet.shape)
     interior = feet > 0.0
-    rows = np.empty(feet.shape)
     if interior.any():
-        rows[interior] = rho_fn(feet[interior])
+        out[interior] = rho_fn(feet[interior])
     inflow = ~interior
     if inflow.any():
         # entry times: invert the piecewise-linear travelled distance
-        t0 = np.interp(-feet[inflow], V, win_times)
-        rows[inflow] = btilde(t0)
-    return rows
+        out[inflow] = btilde(np.interp(-feet[inflow], V, win_times))
+    return out
+
+
+def _inventory_rows(rho_fn: Callable, btilde: Callable, win_times: np.ndarray,
+                    V: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Density rows induced by a candidate speed, one per window time."""
+    return _state_at(rho_fn, btilde, win_times, V, xs[None, :] - V[:, None])
 
 
 def _advanced_profile(rho_fn: Callable, btilde: Callable,
@@ -232,13 +237,7 @@ def _advanced_profile(rho_fn: Callable, btilde: Callable,
 
     def profile(x):
         xa = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xa)
-        interior = xa > v_end
-        if interior.any():
-            out[interior] = rho_fn(xa[interior] - v_end)
-        inflow = ~interior
-        if inflow.any():
-            out[inflow] = btilde(np.interp(v_end - xa[inflow], V, win_times))
+        out = _state_at(rho_fn, btilde, win_times, V, xa - v_end)
         return out if np.ndim(x) else float(out[0])
 
     return profile
@@ -498,7 +497,5 @@ def manufacturing_run(run: ClosedLoopRun) -> TrajectoryRun:
     b_vals = np.asarray(sc.b(grid.times), dtype=float) * np.ones_like(grid.times)
     return TrajectoryRun(
         kind="manufacturing", grid=grid, state=run.rho, state_coarse=coarse,
-        ext=None,
-        b_trace=NormTrace(times=grid.times, values=b_vals, p=INF,
-                          label="inflow signal"),
-        f_rows=None, phi_row=phi_row, rho_s=sc.rho_s, r=run.terminal)
+        ext=None, b_values=b_vals, f_rows=None, phi_row=phi_row,
+        rho_s=sc.rho_s, r=run.terminal)

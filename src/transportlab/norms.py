@@ -7,7 +7,8 @@ distinct selector, never a large float stand-in.  The same rule, run as
 estimates also need three running extremals of the data - the minimum
 transport speed, the maximum spatial slope of the speed, and the maximum
 reaction coefficient - plus a fading-memory maximum over a receding horizon
-window.
+window.  The running extremals hold one row per grid time, and a certificate
+reads row k at grid time k.
 
 Norms and fading-memory maxima are computed for all rows or query times at
 once, a block at a time, each bitwise as for its row or time alone.
@@ -35,7 +36,6 @@ __all__ = [
     "fading_memory_max",
     "fading_memory_maxima",
     "heaviside_h",
-    "NormTrace",
 ]
 
 PNorm = Union[float, int]
@@ -99,25 +99,16 @@ def sup_log_norm(rho_row: np.ndarray, rho_s: float) -> float:
 
 @dataclass(frozen=True)
 class Extremals:
-    """Running data extremals over [0, t] x [0, 1], sampled on grid times.
+    """Running data extremals over [0, t_k] x [0, 1], one row k per grid time.
 
     vmin: running minimum of v (nonincreasing);
     dvdx_max: running maximum of dv/dx (nondecreasing);
     a_max: running maximum of the reaction coefficient (nondecreasing, 0 when absent).
     """
 
-    times: np.ndarray
     vmin: np.ndarray
     dvdx_max: np.ndarray
     a_max: np.ndarray
-
-    def index_for(self, t: float) -> int:
-        dt = float(self.times[1] - self.times[0]) if len(self.times) > 1 else 1.0
-        return min(len(self.times) - 1, max(0, int(np.ceil(t / dt - 1e-12))))
-
-    def at(self, t: float) -> tuple[float, float, float]:
-        k = self.index_for(t)
-        return float(self.vmin[k]), float(self.dvdx_max[k]), float(self.a_max[k])
 
 
 def extremals(v: VelocityField, grid: Grid,
@@ -134,7 +125,6 @@ def extremals(v: VelocityField, grid: Grid,
         for rows, block in row_blocks(a, grid):
             a_rows[rows] = np.max(block, axis=1)
     return Extremals(
-        times=grid.times,
         vmin=np.minimum.accumulate(vmin_rows),
         dvdx_max=np.maximum.accumulate(slope_rows),
         a_max=np.maximum.accumulate(a_rows),
@@ -175,13 +165,3 @@ def fading_memory_max(times: np.ndarray, values: np.ndarray, t: float,
                       mu: float, vmin: float) -> float:
     """``fading_memory_maxima`` at the single time t."""
     return float(fading_memory_maxima(times, values, [t], mu, vmin)[0])
-
-
-@dataclass(frozen=True)
-class NormTrace:
-    """A per-time trace of one norm of the state."""
-
-    times: np.ndarray
-    values: np.ndarray
-    p: PNorm
-    label: str = ""

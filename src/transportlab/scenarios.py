@@ -45,6 +45,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario_text",
     "transport_problem",
+    "continuity_data",
     "production_scenario",
     "trajectory_run",
     "simulation",
@@ -298,6 +299,14 @@ def transport_problem(sc: Scenario) -> TransportProblem:
                             VelocityField.from_expression(sc.v), coeffs)
 
 
+def continuity_data(sc: Scenario) -> Tuple[InitialProfile, BoundarySignal,
+                                           VelocityField]:
+    """The initial density, boundary signal and speed of a continuity scenario."""
+    return (InitialProfile.from_expression(sc.rho0),
+            BoundarySignal.from_expression(sc.b),
+            VelocityField.from_expression(sc.v))
+
+
 def production_scenario(sc: Scenario) -> ProductionScenario:
     if sc.problem != "manufacturing":
         raise ScenarioError(
@@ -320,10 +329,7 @@ def simulation(sc: Scenario) -> Simulation:
     if sc.problem == "transport":
         return Simulation(solve_field(transport_problem(sc), grid))
     if sc.problem == "continuity":
-        return Simulation(solve_continuity(
-            sc.rho_s, InitialProfile.from_expression(sc.rho0),
-            BoundarySignal.from_expression(sc.b),
-            VelocityField.from_expression(sc.v), grid))
+        return Simulation(solve_continuity(sc.rho_s, *continuity_data(sc), grid))
     run = simulate_closed_loop(production_scenario(sc), sc.horizon, grid)
     return Simulation(run.rho, run)
 
@@ -333,9 +339,7 @@ def trajectory_run(sc: Scenario) -> TrajectoryRun:
     if sc.problem == "transport":
         return transport_run(transport_problem(sc), grid)
     if sc.problem == "continuity":
-        return continuity_run(sc.rho_s, InitialProfile.from_expression(sc.rho0),
-                              BoundarySignal.from_expression(sc.b),
-                              VelocityField.from_expression(sc.v), grid)
+        return continuity_run(sc.rho_s, *continuity_data(sc), grid)
     return manufacturing_run(
         simulate_closed_loop(production_scenario(sc), sc.horizon, grid))
 

@@ -62,8 +62,9 @@ def lhs(run, p):
     return np.array([lp_norm(row, fld.xs, p) for row in fld.values])
 
 
-def rhs(run, base, p, mu):
-    """(rhs, valid, factored gain, unfactored gain) at every time of the run."""
+def rhs(run, base, p, mu, rows=None):
+    """(rhs, valid, factored gain, unfactored gain) at every time of the run,
+    or at the given rows only (the rest stay NaN and invalid)."""
     times = run.times
     n = len(times)
     out = np.full(n, math.nan)
@@ -72,11 +73,11 @@ def rhs(run, base, p, mu):
     coef_u = np.full(n, math.nan)
     pinv = 0.0 if p == INF else 1.0 / p
     phi_n = lp_norm(run.phi_row, run.grid.xs, p)
-    b_abs = np.abs(run.b_trace.values)
+    b_abs = np.abs(run.b_values)
     if base != "E3.6":
         f_abs = np.abs([lp_norm(row, run.grid.xs, p) for row in run.f_rows])
-    for k, t in enumerate(times):
-        t = float(t)
+    for k in range(n) if rows is None else rows:
+        t = float(times[k])
         if base == "E3.6":
             vmin = 1.0 / run.r
             if not mu_is_valid(base, p, mu, vmin):
@@ -86,7 +87,8 @@ def rhs(run, base, p, mu):
             coef_u[k] = boundary_coefficient(p, mu, 0.0, vmin, factored=False)
             out[k] = float(heaviside_h(t - run.r)) * phi_n + coef_f[k] * b_max
         else:
-            vmin, vmax, a_max = run.ext.at(t)
+            vmin, vmax, a_max = (float(run.ext.vmin[k]), float(run.ext.dvdx_max[k]),
+                                 float(run.ext.a_max[k]))
             a = a_max if base == "E2.10" else 0.0
             if not mu_is_valid(base, p, mu, vmin, vmax, a_max):
                 continue
@@ -120,7 +122,7 @@ def extremals(v, grid, a=None):
             np.maximum.accumulate(a_max))
 
 
-def b_trace(problem, grid):
+def b_values(problem, grid):
     """The boundary signal at each grid time, one scalar call per time."""
     return np.array([float(problem.b(t)) for t in grid.times])
 

@@ -8,14 +8,12 @@ import pytest
 from transportlab.bounds import (
     BoundCertificate,
     EstimateValidityError,
+    TrajectoryRun,
     bias_experiment,
     boundary_coefficient,
     certify,
     continuity_run,
     mu_is_valid,
-    rhs_continuity,
-    rhs_manufacturing,
-    rhs_transport,
     transport_run,
 )
 from transportlab.fields import (
@@ -28,8 +26,8 @@ from transportlab.fields import (
 )
 from transportlab.manufacturing import (ProductionScenario, manufacturing_run,
                                         simulate_closed_loop)
-from transportlab.norms import NormTrace, extremals, heaviside_h
-from transportlab.transport import TransportProblem
+from transportlab.norms import Extremals, extremals, heaviside_h
+from transportlab.transport import SolutionField, TransportProblem
 
 import reference_forms
 from reference_forms import Counted
@@ -39,9 +37,18 @@ ROOT_HALF_E2M1 = 1.7873242709327608  # sqrt((e^2 - 1)/2)
 E = 2.718281828459045
 
 
-def const_trace(times, value):
-    return NormTrace(times=times, values=np.full(len(times), float(value)),
-                     p=INF, label="test signal")
+def hand_run(kind, grid, b, phi=0.0, ext=None, r=None):
+    """A run with zero state, zero source and constant b and phi, built
+    without a solve; ext defaults to the extremals of v = 1."""
+    zeros = np.zeros((grid.nt + 1, grid.nx))
+    state = SolutionField(grid, grid.times, grid.xs, zeros, "w", "full")
+    if ext is None and kind != "manufacturing":
+        ext = extremals(VelocityField.from_expression("1"), grid)
+    return TrajectoryRun(
+        kind=kind, grid=grid, state=state, state_coarse=state, ext=ext,
+        b_values=np.full(grid.nt + 1, float(b)),
+        f_rows=None if kind == "manufacturing" else zeros,
+        phi_row=np.full(grid.nx, float(phi)), r=r)
 
 
 def make_run(rho0="1", b="0", v="1", grid=None, rho_s=1.0):
@@ -106,51 +113,54 @@ def test_mu_validity_rules():
     assert not mu_is_valid("E3.7", INF, 0.0, vmin=0.5)
 
 
-def test_rhs_validity_errors():
-    grid = Grid(51, 1e-2, 1.0)
-    ext = extremals(VelocityField.from_expression("1"), grid)
-    zeros = const_trace(grid.times, 0.0)
-    with pytest.raises(EstimateValidityError):
-        rhs_continuity(2, 0.0, 0.5, ext, 0.0, zeros, zeros)
-    with pytest.raises(EstimateValidityError):
-        rhs_transport(2, 0.0, 0.5, ext, 0.0, zeros, zeros)
-    with pytest.raises(EstimateValidityError):
-        rhs_manufacturing(2, 0.0, 0.5, 2.0, 0.0, zeros)
-
-
-# -- single-time right-hand sides -------------------------------------------
+# -- closed-form right-hand sides ------------------------------------------
 
 def test_rhs_transport_constant_boundary():
     grid = Grid(101, 1e-2, 1.5)
-    ext = extremals(VelocityField.from_expression("1"), grid)
-    zeros = const_trace(grid.times, 0.0)
-    b = const_trace(grid.times, 0.3)
+    (cert,) = certify(hand_run("transport", grid, b=0.3, phi=0.4), "E2.10", [2], [1.0])
     # past one transit time only the boundary term survives
-    got = rhs_transport(2, 1.0, 1.2, ext, 0.0, zeros, b)
-    assert got == pytest.approx(0.3 * ROOT_HALF_E2M1, abs=1e-12)
+    assert cert.times[120] == pytest.approx(1.2)
+    assert cert.rhs[120] == pytest.approx(0.3 * ROOT_HALF_E2M1, abs=1e-12)
     # before it, the overshoot term rides on top
-    got = rhs_transport(2, 1.0, 0.5, ext, 0.4, zeros, b)
-    assert got == pytest.approx(0.4 + 0.3 * ROOT_HALF_E2M1, abs=1e-12)
+    assert cert.times[50] == pytest.approx(0.5)
+    assert cert.rhs[50] == pytest.approx(0.4 + 0.3 * ROOT_HALF_E2M1, abs=1e-12)
 
 
 def test_rhs_zero_data_is_zero():
     grid = Grid(101, 1e-2, 1.5)
-    ext = extremals(VelocityField.from_expression("1"), grid)
-    zeros = const_trace(grid.times, 0.0)
-    for t in (0.5, 1.0, 1.5):
-        assert rhs_transport(2, 0.7, t, ext, 0.0, zeros, zeros) == 0.0
-        assert rhs_continuity(INF, 0.7, t, ext, 0.0, zeros, zeros) == 0.0
+    (cert,) = certify(hand_run("transport", grid, b=0.0), "E2.10", [2], [0.7])
+    assert cert.all_valid and np.all(cert.rhs == 0.0)
+    (cert,) = certify(hand_run("continuity", grid, b=0.0), "E2.4", [INF], [0.7])
+    assert cert.all_valid and np.all(cert.rhs == 0.0)
 
 
 def test_rhs_manufacturing_values():
-    times = np.linspace(0.0, 3.0, 301)
-    zeros = const_trace(times, 0.0)
-    b = const_trace(times, 0.2)
-    assert rhs_manufacturing(2, 0.5, 2.5, 2.0, 5.0, zeros) == 0.0
-    got = rhs_manufacturing(INF, 0.5, 3.0, 2.0, 5.0, b)
-    assert got == pytest.approx(0.2 * E, abs=1e-12)
-    got = rhs_manufacturing(INF, 0.5, 1.0, 2.0, 5.0, b)
-    assert got == pytest.approx(5.0 + 0.2 * E, abs=1e-12)
+    grid = Grid(11, 1e-2, 3.0)
+    (cert,) = certify(hand_run("manufacturing", grid, b=0.0, phi=5.0, r=2.0),
+                      "E3.6", [2], [0.5])
+    assert cert.times[250] == pytest.approx(2.5)
+    assert cert.rhs[250] == 0.0
+    (cert,) = certify(hand_run("manufacturing", grid, b=0.2, phi=5.0, r=2.0),
+                      "E3.6", [INF], [0.5])
+    assert cert.times[300] == pytest.approx(3.0)
+    assert cert.rhs[300] == pytest.approx(0.2 * E, abs=1e-12)
+    assert cert.times[100] == pytest.approx(1.0)
+    assert cert.rhs[100] == pytest.approx(5.0 + 0.2 * E, abs=1e-12)
+
+
+def test_certify_reads_the_extremals_of_its_own_grid_row():
+    # 19201 * dt / dt rounds more than 1e-12 above 19201 for dt = 1/300, so a
+    # lookup by time would take row 19202, where vmin has already dropped
+    grid = Grid(2, 1 / 300, 20001 / 300)
+    n = grid.nt + 1
+    vmin = np.where(np.arange(n) < 19202, 1.0, 0.5)
+    ext = Extremals(vmin=vmin, dvdx_max=np.zeros(n), a_max=np.zeros(n))
+    run = hand_run("transport", grid, b=1.0, ext=ext)
+    (cert,) = certify(run, "E2.10", [INF], [0.5])
+    rhs, valid, _, _ = reference_forms.rhs(run, "E2.10", INF, 0.5, rows=[19201])
+    assert valid[19201] and cert.rhs[19201] == rhs[19201]
+    assert cert.rhs[19201] == boundary_coefficient(INF, 0.5, 0.0, 1.0)
+    assert cert.rhs[19202] == boundary_coefficient(INF, 0.5, 0.0, 0.5)
 
 
 # -- certification ----------------------------------------------------------
@@ -274,8 +284,7 @@ def test_overshoot_factor_respects_peak_bound():
     p = 2.0
     for expr in ("1 - 0.5*x", "0.5 + 0.5*x"):
         ext = extremals(VelocityField.from_expression(expr), grid)
-        for t in grid.times:
-            vmin, vmax, _ = ext.at(float(t))
+        for t, vmin, vmax in zip(grid.times, ext.vmin, ext.dvdx_max):
             factor = math.exp(vmax / p * t) * float(heaviside_h(t - 1.0 / vmin))
             cap = math.exp(max(0.0, vmax) / (p * vmin))
             assert factor <= cap + 1e-12
@@ -339,5 +348,5 @@ def test_transport_run_samples_the_boundary_and_source_traces_in_bulk():
                 f=SpaceTimeField.from_expression("0.2*sin(pi*x*t)^2 + min(x, t)")))
         run = transport_run(problem, grid)
         assert signal.calls == 7
-        assert np.array_equal(run.b_trace.values, reference_forms.b_trace(problem, grid))
+        assert np.array_equal(run.b_values, reference_forms.b_values(problem, grid))
         assert np.array_equal(run.f_rows, reference_forms.f_rows(problem, grid))

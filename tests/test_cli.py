@@ -1,12 +1,16 @@
 """End-to-end runs of the command line: artifacts, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transportlab import cli
 from transportlab.norms import lp_log_norm
@@ -431,3 +435,59 @@ def test_nan_and_inf_serialize_plainly(tmp_path):
         assert v["all_valid"] is False
         assert v["min_margin"] is None
         assert not any(v["mu_valid"])
+
+
+# -- hostile files -----------------------------------------------------------
+# Grids stay small (nx <= 21, nt <= 40) or invalid: with no node budget yet, a
+# tiny dt or a huge horizon would only exhaust memory, so neither is drawn.
+
+_HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308"]
+_DATA = {
+    "continuity": CONTINUITY_SRC.splitlines()[:4],
+    "transport": TRANSPORT_SRC.splitlines()[:6],
+}
+
+
+@st.composite
+def _hostile_files(draw):
+    """A valid small file in which a few numeric keys take hostile values;
+    a hostile list key mixes them with valid entries."""
+    problem = draw(st.sampled_from(sorted(_DATA)))
+    dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    keys = {"nx": str(draw(st.integers(2, 21))), "dt": repr(dt),
+            "horizon": repr(draw(st.integers(1, 40)) * dt),
+            "rho_s": draw(st.sampled_from(["1.0", "2.5"])),
+            "p": draw(st.sampled_from(["2", "4", "inf", "2, inf"])),
+            "mu": draw(st.sampled_from(["0.1", "0.5", "0.1, 1.0"])),
+            "theta": "0.5", "count": "2"}
+    for key in draw(st.sets(st.sampled_from(sorted(keys)), max_size=3)):
+        if key in ("nx", "dt", "horizon"):
+            keys[key] = draw(st.sampled_from(["nan", "inf", "-1", "0"]))
+        elif key in ("p", "mu", "theta"):
+            items = draw(st.lists(st.sampled_from(_HOSTILE), min_size=1, max_size=2))
+            keys[key] = ", ".join(draw(st.permutations(items + [keys[key]])))
+        else:
+            keys[key] = draw(st.sampled_from(_HOSTILE))
+    return "\n".join(_DATA[problem] + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hostile_files(), st.sampled_from(["certify", "simulate"]))
+def test_hostile_files_reach_one_defined_outcome(src, mode):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "hostile.txt")
+        with open(path, "w") as fh:
+            fh.write(src)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(["run", path, "--mode", mode, "--out", out])
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in stderr.getvalue()
+        if rc == 2:
+            assert "error" in json.loads(stdout.getvalue().splitlines()[-1])
+        if rc == 1:
+            with open(os.path.join(out, "hostile_cert.json")) as fh:
+                assert json.load(fh)["passed"] is False
+        if rc == 0 and mode == "simulate":
+            _, rows = read_csv(os.path.join(out, "hostile_field.csv"))
+            assert np.isfinite(np.array(rows, dtype=float)).all()

