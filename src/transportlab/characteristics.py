@@ -1,20 +1,22 @@
 """Characteristic curves of the transport speed field.
 
 The flow X(s; t0, x0) solves dX/ds = v(t0 + s, X) with X(0) = x0, integrated
-by classical RK4 with the grid's time step (sub-stepped at the x = 1 exit so
-the crossing sample lands on the wall to 1e-10).  Every other propagation is
-one scalar march, the same RK4 stepping to a given time in either direction
-with no wall stop.  Inverse queries - which initial point or boundary
-instant feeds a given space-time node - start from a reverse RK4 seed out
-of the query point: the march back to time 0 for the foot, a sweep back to
-the wall x = 0 for the emission time.  The seed is checked first: its
-forward flow is the curve a caller integrates along next, and a seed whose
-flow ends within the 1e-10 tolerance of the query is returned as it is,
-which on smooth speeds is nearly every query.  Only the seeds that miss are
-bracketed and bisected on the march to the 1e-10 residual, valid because
-the flow map is strictly increasing in x0 and the boundary emission map is
-strictly decreasing in the emission time.  An engine, i.e. one (velocity,
-grid) pair, memoizes its separatrix and its latest flow only, so it holds
+by classical RK4 with the grid's time step.  Every scalar propagation is one
+march, the same RK4 stepping to a given time in either direction, and one
+wall cut: a march that may stop at a wall (x = 1 forward, x = 0 back) cuts
+the step that reaches it onto the wall by a fixed number of halvings.  A
+flow is the forward march with the x = 1 wall, sampled at every step.
+Inverse queries - which initial point or boundary instant feeds a given
+space-time node - start from a reverse seed out of the query point: the
+march back to time 0 for the foot, the march back to the wall x = 0 for
+the emission time.  The seed is checked first: its forward flow is the
+curve a caller integrates along next, and a seed whose flow ends within
+the 1e-10 tolerance of the query is returned as it is, which on smooth
+speeds is nearly every query.  Only the seeds that miss are bracketed and
+bisected on the march to the 1e-10 residual, valid because the flow map is
+strictly increasing in x0 and the boundary emission map is strictly
+decreasing in the emission time.  An engine, i.e. one (velocity, grid)
+pair, memoizes its separatrix and its latest flow only, so it holds
 bounded memory; inverses are not memoized.
 
 Every propagation, here and in the field solver's fan, takes steps of the
@@ -45,8 +47,8 @@ __all__ = [
     "rk4_step",
 ]
 
-EXIT_TOL = 1e-10
 BACKTRACE_TOL = 1e-10
+WALL_HALVINGS = 80  # a step of dt halved 80 times is far below one ulp of t
 
 
 class CharacteristicsError(ValueError):
@@ -130,7 +132,7 @@ class CharacteristicEngine:
     # -- forward flow ------------------------------------------------------
 
     def flow(self, t0: float, x0: float, until: float) -> CharacteristicPath:
-        """Integrate from (t0, x0) up to absolute time ``until`` or the exit.
+        """The forward march from (t0, x0) to absolute time ``until`` or x = 1.
 
         The latest flow is memoized: a backtrace's seed check builds the
         flow its caller integrates along next.
@@ -143,46 +145,14 @@ class CharacteristicEngine:
         if self._last is not None and self._last[0] == key:
             return self._last[1]
 
-        s_end = until - t0
-        ss = [0.0]
-        xs = [float(x0)]
-        exited = x0 >= 1.0
-        s_exit = 0.0 if exited else None
-        s, x = 0.0, float(x0)
-        while not exited and s < s_end - 1e-15:
-            h = min(self.dt, s_end - s)
-            xn = float(rk4_step(self.v, t0 + s, x, h))
-            if xn >= 1.0:
-                h_exit = self._bisect_exit(t0 + s, x, h, xn)
-                x_exit = float(rk4_step(self.v, t0 + s, x, h_exit))
-                s = s + h_exit
-                ss.append(s)
-                xs.append(x_exit)
-                exited, s_exit = True, s
-                break
-            s += h
-            x = xn
-            ss.append(s)
-            xs.append(x)
-        path = CharacteristicPath(t0, x0, np.asarray(ss), np.asarray(xs), exited, s_exit)
+        ts, xs = [float(t0)], [float(x0)]
+        if x0 < 1.0:
+            self._march(t0, x0, until, 1.0, (ts, xs))
+        exited = xs[-1] >= 1.0  # only the wall cut ends a march at x >= 1
+        path = CharacteristicPath(t0, x0, np.asarray(ts) - t0, np.asarray(xs), exited,
+                                  ts[-1] - t0 if exited else None)
         self._last = key, path
         return path
-
-    def _bisect_exit(self, t_at: float, x_at: float, h: float, x_full: float) -> float:
-        """Sub-step length at which the characteristic meets x = 1."""
-        if abs(x_full - 1.0) <= EXIT_TOL:
-            return h
-        lo, hi = 0.0, h
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            xm = float(rk4_step(self.v, t_at, x_at, mid))
-            if abs(xm - 1.0) <= EXIT_TOL:
-                return mid
-            if xm > 1.0:
-                hi = mid
-            else:
-                lo = mid
-        raise CharacteristicsError("exit sub-stepping did not converge")
 
     # -- separatrix and loci ----------------------------------------------
 
@@ -216,16 +186,38 @@ class CharacteristicEngine:
 
     # -- the scalar march ---------------------------------------------------
 
-    def _march(self, t: float, x: float, until: float) -> float:
-        """RK4 from (t, x) to absolute time ``until``, either way, no wall stop."""
+    def _march(self, t: float, x: float, until: float,
+               wall: Optional[float] = None, samples: Optional[tuple] = None) -> float:
+        """RK4 from (t, x) to absolute time ``until``, either way; the end position.
+
+        With a wall (1 forward, 0 back) the march stops on the step that
+        reaches it: WALL_HALVINGS halvings of that step bracket the crossing,
+        the bracket midpoint is the time of the last sample and the wall its
+        position.  ``samples``, a pair of lists, gets the time and position
+        after every step.
+        """
         sign = 1.0 if until >= t else -1.0
         s, pos = float(t), float(x)
         left = sign * (until - s)
         while left > 1e-15:
             h = min(self.dt, left)
-            pos = float(rk4_step(self.v, s, pos, sign * h))
-            s += sign * h
-            left = sign * (until - s)
+            nxt = float(rk4_step(self.v, s, pos, sign * h))
+            if wall is not None and sign * (nxt - wall) >= 0.0:
+                lo, hi = 0.0, h  # length of the step that reaches the wall
+                for _ in range(WALL_HALVINGS):
+                    mid = 0.5 * (lo + hi)
+                    if sign * (float(rk4_step(self.v, s, pos, sign * mid)) - wall) >= 0.0:
+                        hi = mid
+                    else:
+                        lo = mid
+                s, pos, left = s + sign * (0.5 * (lo + hi)), wall, 0.0
+            else:
+                s += sign * h
+                pos = nxt
+                left = sign * (until - s)
+            if samples is not None:
+                samples[0].append(s)
+                samples[1].append(pos)
         return pos
 
     # -- inverse queries ----------------------------------------------------
@@ -323,27 +315,11 @@ class CharacteristicEngine:
         return sec if abs(propagate(sec) - x) <= abs(g_res) else result
 
     def _reverse_seed_t0(self, t: float, x: float, lower: float) -> float:
-        """Backward sweep from (t, x) until the wall x = 0; seed for t0."""
+        """Backward march from (t, x) to the wall x = 0; seed for t0."""
         if x <= 1e-15:
             return t
-        pos = float(x)
-        s = float(t)
-        while s > lower - self.dt:
-            h = min(self.dt, s)
-            if h <= 1e-15:
-                break
-            nxt = float(rk4_step(self.v, s, pos, -h))
-            if nxt <= 0.0:
-                lo_f, hi_f = 0.0, h  # fraction of the backward step to reach 0
-                for _ in range(80):
-                    mid = 0.5 * (lo_f + hi_f)
-                    xm = float(rk4_step(self.v, s, pos, -mid))
-                    if xm > 0.0:
-                        lo_f = mid
-                    else:
-                        hi_f = mid
-                return s - 0.5 * (lo_f + hi_f)
-            pos = nxt
-            s -= h
+        ts, xs = [], []
+        if self._march(t, x, 0.0, 0.0, (ts, xs)) <= 0.0:
+            return ts[-1]
         return max(lower, 0.0)
 

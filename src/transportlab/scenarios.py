@@ -128,7 +128,8 @@ def _parse_value(key: str, value: str, ln: int, errors: list):
             except ValueError:
                 errors.append(f"line {ln}: {key!r} expects numbers, got {s!r}")
                 return None
-            out.append(int(x) if math.isfinite(x) and x == int(x) else x)
+            # an integral float reads as an int where both are exact, 2 for 2.0
+            out.append(int(x) if abs(x) < 2**53 and x == int(x) else x)
         return tuple(out)
     if key == "problem":
         return value

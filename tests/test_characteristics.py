@@ -159,27 +159,42 @@ def test_backtrace_round_trip(engine, t, x):
         assert 0.0 <= t0 <= t
 
 
+@pytest.mark.parametrize("engine", ROUND_TRIP_ENGINES)
+def test_boundary_flow_ends_where_the_march_does(engine):
+    # solve_point integrates along the flow whose end the backtrace certified
+    # on the march, so the two must be one curve, bit for bit
+    t = 0.9
+    probed = 0
+    for t0 in np.linspace(0.013, 0.5, 40):
+        path = engine.flow(t0, 0.0, t)
+        if not path.exited:
+            probed += 1
+            assert path.end_x == engine._march(t0, 0.0, t)
+    assert probed >= 20
+
+
 # --- seed certification --------------------------------------------------------
 
 SMOOTH_SPEED = "1 + 0.25*sin(pi*x)"
 
 
 def _spy_marches(monkeypatch, engine, seed_shift=0.0):
-    """Record the (from, to) times of each march; shift the x0 seeds."""
+    """Record the (from, to, wall) of each march; shift the x0 seeds."""
     calls = []
     march = engine._march
 
-    def spied(t, x, until):
-        calls.append((t, until))
-        seed = until == 0.0 and t > 0.0
-        return march(t, x, until) + (seed_shift if seed else 0.0)
+    def spied(t, x, until, wall=None, samples=None):
+        calls.append((t, until, wall))
+        seed = until == 0.0 and t > 0.0 and wall is None
+        return march(t, x, until, wall, samples) + (seed_shift if seed else 0.0)
 
     monkeypatch.setattr(engine, "_march", spied)
     return calls
 
 
 def _forward(calls):
-    return [c for c in calls if c[1] > c[0]]
+    """The bracket and bisection marches: forward, with no wall (a flow has one)."""
+    return [c for c in calls if c[1] > c[0] and c[2] is None]
 
 
 def test_smooth_query_returns_its_seed_without_bisection(monkeypatch):
@@ -193,7 +208,8 @@ def test_smooth_query_returns_its_seed_without_bisection(monkeypatch):
     calls = _spy_marches(monkeypatch, engine)
     assert engine.backtrace_x0(t, x_init) == seed_x0
     assert engine.backtrace_t0(t, x_bnd) == seed_t0
-    assert calls == [(t, 0.0)]  # the x0 seed, and no forward march
+    # per query its seed march and its seed-check flow, and no other march
+    assert calls == [(t, 0.0, None), (0.0, t, 1.0), (t, 0.0, 0.0), (seed_t0, t, 1.0)]
 
 
 def test_seed_off_tolerance_is_bisected_to_certified_root(monkeypatch):

@@ -259,6 +259,17 @@ def test_overflowing_gain_reports_json(tmp_path, capsys, p):
     assert not (tmp_path / "slow_cert.csv").exists()
 
 
+def test_huge_p_reports_json_as_a_float(tmp_path, capsys):
+    # p = 1e308 overflows the boundary gain; the report spells p as a float
+    src = CONTINUITY_SRC.replace("p = 2, inf", "p = 1e308")
+    path = write(tmp_path, "hugep.txt", src)
+    rc = cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "EstimateValidityError"
+    assert "p=1e+308" in report["messages"][0]
+
+
 OVERFLOWING_NORM = """\
 v = "1 + 0.2*x"
 b = "1e300*t"

@@ -234,6 +234,9 @@ def test_list_values_parse_inf_and_ints():
     assert all(isinstance(p, int) for p in sc.p[:2])
     # a number past the float range reads as inf, like writing inf
     assert parse_scenario_text(CONTINUITY_SRC + "p = 1e400\n").p == (INF,)
+    # an integral float past 2**53 stays a float, not a 309-digit int
+    (big,) = parse_scenario_text(CONTINUITY_SRC + "p = 1e308\n").p
+    assert isinstance(big, float) and big == 1e308
     assert sc.mu == (0.25,)
     for bad in ("0.5", "1"):
         with pytest.raises(ScenarioError, match="exceed 1"):
