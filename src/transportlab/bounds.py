@@ -4,9 +4,11 @@ Each estimate bounds a state norm by a decaying overshoot term plus gain
 terms over fading-memory maxima of the inputs.  ``certify`` is the one place
 a bound is evaluated: it computes left- and right-hand sides at every grid
 time of a run and reports margins.  Norms and fading-memory maxima come from
-the array forms in ``norms``, the running extremals at grid time k are row k
-of the run's ``Extremals``, and a term that overflows a float is an
-``EstimateValidityError``.  The pass/fail slack couples a fixed 1e-6 with a
+the array forms in ``norms``, and the running extremals at grid time k are
+row k of the run's ``Extremals``.  Every term but the overshoot depends on
+the time only through them, so it is evaluated once per extremal state.  A
+term that overflows a float is an ``EstimateValidityError`` at the first
+such (p, mu, t) cell.  The pass/fail slack couples a fixed 1e-6 with a
 measured discretization indicator (ten times the change in the LHS when the
 spatial grid is coarsened 2x), so exact statements about exact solutions are
 not failed for grid error, yet a genuine violation cannot hide behind it.
@@ -46,7 +48,6 @@ from .norms import (
     Extremals,
     extremals,
     fading_memory_maxima,
-    heaviside_h,
     lp_log_norm,
     lp_log_norm_rows,
     lp_norm,
@@ -75,6 +76,7 @@ _EXP_MAX = 709.782712893384  # ln of the largest float
 _SUP_TWIN = {"E2.4": "E2.5", "E2.10": "E2.11", "E3.6": "E3.7"}
 _FINITE_OF = {v: k for k, v in _SUP_TWIN.items()}
 _KIND_OF = {"E2.4": "continuity", "E2.10": "transport", "E3.6": "manufacturing"}
+_TERMS = ("overshoot term", "source gain term", "boundary gain term", "sum of the terms")
 
 
 def canonical_estimate(estimate_id: str) -> str:
@@ -138,32 +140,14 @@ def _exp(x: float) -> float:
     return math.exp(x) if x <= _EXP_MAX else INF
 
 
-def _total(estimate_id, p, mu, t, terms) -> float:
-    """A bound from its overshoot, source and boundary terms; it must be finite."""
-    total = terms[0] + terms[1] + terms[2]
-    if not math.isfinite(total):
-        names = ("overshoot term", "source gain term", "boundary gain term", "sum of the terms")
-        bad = next(n for n, x in zip(names, (*terms, total)) if not math.isfinite(x))
-        raise EstimateValidityError(
-            f"{estimate_id} at p={p}, mu={mu}, t={t}: the {bad} overflows")
-    return total
-
-
-def _rhs_core(estimate_id, p, mu, t, vmin, vmax, a_max, phi_norm, f_max, b_max):
-    """E2.x bound and boundary gain at t from the fading-memory maxima."""
-    pinv = _pinv(p)
-    h = float(heaviside_h(t - 1.0 / vmin))
-    term1 = _exp((a_max + pinv * vmax) * t) * h * phi_norm if h else 0.0
-    term2 = (1.0 / vmin) * _exp(1.0 + (mu + pinv * vmax + a_max) / vmin) * f_max
-    coef = boundary_coefficient(p, mu, a_max, vmin)
-    return _total(estimate_id, p, mu, t, (term1, term2, coef * b_max)), coef
-
-
-def _rhs_flush(estimate_id, p, mu, t, r, phi_norm, b_max):
-    """E3.6 bound and boundary gain at t from the fading-memory maximum."""
-    coef = boundary_coefficient(p, mu, 0.0, 1.0 / r)
-    term1 = float(heaviside_h(t - r)) * phi_norm
-    return _total(estimate_id, p, mu, t, (term1, 0.0, coef * b_max)), coef
+def _state_gains(base, p, mu, vmin, vmax, a_max, a_eff):
+    """(valid, source gain factor, factored and unfactored boundary gains) at
+    one extremal state; the gains are NaN where mu is inadmissible."""
+    if not mu_is_valid(base, p, mu, vmin, vmax, a_max):
+        return False, math.nan, math.nan, math.nan
+    source = (1.0 / vmin) * _exp(1.0 + (mu + _pinv(p) * vmax + a_eff) / vmin)
+    return (True, source, boundary_coefficient(p, mu, a_eff, vmin),
+            boundary_coefficient(p, mu, a_eff, vmin, factored=False))
 
 
 # ---------------------------------------------------------------------------
@@ -271,23 +255,28 @@ def certify(run: TrajectoryRun, estimate_id: str, ps: Sequence,
         raise ValueError("manufacturing certification needs the run's terminal time")
 
     times = run.times
-    ts = times.tolist()
-    n = len(ts)
+    n = len(times)
     flush = base == "E3.6"
+    zeros = np.zeros(n)
     if flush:  # the speed floor 1/r, no slope or reaction terms
-        vmins, vmaxs, a_maxs = np.full(n, 1.0 / run.r), [0.0] * n, [0.0] * n
+        vmins, vmaxs, a_maxs = np.full(n, 1.0 / run.r), zeros, zeros
     else:
-        # the run's times are its grid's, so cell k reads extremals row k
-        vmins = run.ext.vmin
-        vmaxs, a_maxs = run.ext.dvdx_max.tolist(), run.ext.a_max.tolist()
-    vmin_list = vmins.tolist()
+        # the run's times are its grid's, so time k reads extremals row k
+        vmins, vmaxs, a_maxs = run.ext.vmin, run.ext.dvdx_max, run.ext.a_max
+    # one extremal state per run of equal rows: (vmin, vmax, a_max, a_eff)
+    keys = np.stack([vmins, vmaxs, a_maxs, a_maxs if base == "E2.10" else zeros])
+    starts = np.flatnonzero(np.r_[True, (keys[:, 1:] != keys[:, :-1]).any(axis=0)])
+    lengths = np.diff(starts, append=n)
+    states = keys[:, starts].T.tolist()
 
     def maxima(values, mu):
         # at times where mu is inadmissible they may overflow, and are not used
         with np.errstate(over="ignore", invalid="ignore"):
-            return fading_memory_maxima(times, np.abs(values), times, mu, vmins).tolist()
+            return fading_memory_maxima(times, np.abs(values), times, mu, vmins)
 
     b_maxima = {mu: maxima(run.b_values, mu) for mu in dict.fromkeys(mus)}
+    # vmin > 0 is checked by now; the overshoot lasts until 1/vmin, or r itself
+    overshoot_rows = np.flatnonzero(times < (run.r if flush else 1.0 / vmins))
     certs = []
     for p in ps:
         cert_id = _SUP_TWIN[base] if p == INF else base
@@ -295,28 +284,31 @@ def certify(run: TrajectoryRun, estimate_id: str, ps: Sequence,
         bad = ~(np.isfinite(lhs) & np.isfinite(lhs_coarse))
         if bad.any():
             raise EstimateValidityError(
-                f"{cert_id} at p={p}, t={ts[np.argmax(bad)]}: the state norm overflows")
+                f"{cert_id} at p={p}, t={float(times[np.argmax(bad)])}: the state norm overflows")
         slack = 1e-6 + 10.0 * np.abs(lhs - lhs_coarse)
         phi_n = run.phi_norm(p)
         f_norms = None if flush else lp_norm_rows(run.f_rows, run.grid.xs, p)
+        pinv = _pinv(p)
+        rates = np.repeat([a_eff + pinv * vmax for _, vmax, _, a_eff in states], lengths)
+        term1 = np.zeros(n)
+        term1[overshoot_rows] = [_exp(x) * phi_n for x in
+                                 (rates[overshoot_rows] * times[overshoot_rows]).tolist()]
         for mu in mus:
-            rhs, coef_f, coef_u = (np.full(n, math.nan) for _ in range(3))
-            valid = np.zeros(n, dtype=bool)
-            b_max = b_maxima[mu]
-            f_max = None if flush else maxima(f_norms, mu)
-            for k, t in enumerate(ts):
-                vmin, vmax, a_max = vmin_list[k], vmaxs[k], a_maxs[k]
-                if not mu_is_valid(base, p, mu, vmin, vmax, a_max):
-                    continue
-                valid[k] = True
-                a_eff = a_max if base == "E2.10" else 0.0
-                if flush:
-                    rhs[k], coef_f[k] = _rhs_flush(cert_id, p, mu, t, run.r, phi_n,
-                                                   b_max[k])
-                else:
-                    rhs[k], coef_f[k] = _rhs_core(cert_id, p, mu, t, vmin, vmax, a_eff,
-                                                  phi_n, f_max[k], b_max[k])
-                coef_u[k] = boundary_coefficient(p, mu, a_eff, vmin, factored=False)
+            valid, source, coef_f, coef_u = (
+                np.repeat(col, lengths) for col in
+                zip(*(_state_gains(base, p, mu, *state) for state in states)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                term2 = zeros if flush else source * maxima(f_norms, mu)
+                term3 = coef_f * b_maxima[mu]
+                rhs = (term1 + term2) + term3
+            bad = valid & ~np.isfinite(rhs)
+            if bad.any():
+                k = int(np.argmax(bad))
+                terms = (term1[k], term2[k], term3[k], rhs[k])
+                name = next(lb for lb, x in zip(_TERMS, terms) if not math.isfinite(x))
+                raise EstimateValidityError(
+                    f"{cert_id} at p={p}, mu={mu}, t={float(times[k])}: the {name} overflows")
+            rhs[~valid] = math.nan
             margin = rhs - lhs
             ok_cells = margin[valid] + slack[valid]
             passed = bool(np.all(ok_cells >= 0.0)) if valid.any() else True

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
@@ -56,11 +57,13 @@ def _write(path: str, lines: Iterable[str]):
 
 
 def _field_lines(state) -> Iterator[str]:
+    """The field CSV, one string of lines per grid time."""
     yield f"t,x,{'rho' if state.kind == 'rho' else 'w'}"
-    xs = [_fmt(x) for x in state.xs]
-    for t, row in zip(state.times, state.values):
-        ts = _fmt(t)
-        yield from (f"{ts},{x},{val}" for x, val in zip(xs, map(repr, row.tolist())))
+    xs = [repr(x) + "," for x in state.xs.tolist()]
+    # one row at a time becomes Python floats, so peak memory stays that of the field
+    for t, row in zip(state.times.tolist(), state.values):
+        pre = repr(t) + ","
+        yield pre + ("\n" + pre).join(map(operator.add, xs, map(repr, row.tolist())))
 
 
 def _mode_simulate(sc: Scenario, out: str) -> Tuple[List[str], bool]:
@@ -89,10 +92,10 @@ def _certificates(sc: Scenario):
 
 def _cert_lines(certs) -> Iterator[str]:
     yield "estimate,p,mu,t,lhs,rhs,margin"
-    for c in certs:
-        head = f"{c.estimate_id},{_fmt_p(c.p)},{_fmt(c.mu)}"
-        yield from (f"{head},{_fmt(t)},{_fmt(l)},{_fmt(r)},{_fmt(m)}"
-                    for t, l, r, m in zip(c.times, c.lhs, c.rhs, c.margin))
+    for c in certs:  # one string of lines per certificate
+        head = f"{c.estimate_id},{_fmt_p(c.p)},{_fmt(c.mu)},"
+        cols = (map(repr, a.tolist()) for a in (c.times, c.lhs, c.rhs, c.margin))
+        yield head + ("\n" + head).join(map(",".join, zip(*cols)))
 
 
 def _mode_certify(sc: Scenario, out: str) -> Tuple[List[str], bool]:

@@ -8,7 +8,9 @@ and f a block of steps at a time, and before it interpolated a block of
 rows in one pass: one ``np.interp`` per segment of each row.  ``Counted``
 counts the calls a field or signal receives.  ``numpy_speed`` reads an
 expression speed through its numpy function at Python floats too, as the
-scalar RK4 steps did before they read its float function.
+scalar RK4 steps did before they read its float function.  ``field_lines``
+and ``cert_lines`` are the CLI's CSV writers as they formatted one value at
+a time, before they formatted a row or a certificate at a time.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 
 from transportlab.bounds import boundary_coefficient, mu_is_valid
 from transportlab.characteristics import rk4_step
+from transportlab.cli import _fmt_p
 from transportlab.fields import VelocityField
 from transportlab.norms import heaviside_h
 
@@ -38,6 +41,24 @@ class Counted:
 def numpy_speed(e):
     """A speed that calls the expression ``e`` at every read, floats included."""
     return VelocityField(lambda t, x: e(t=t, x=x))
+
+
+def field_lines(state):
+    """The field CSV, one line per node."""
+    yield f"t,x,{'rho' if state.kind == 'rho' else 'w'}"
+    for t, row in zip(state.times, state.values):
+        for x, v in zip(state.xs, row):
+            yield f"{repr(float(t))},{repr(float(x))},{repr(float(v))}"
+
+
+def cert_lines(certs):
+    """The certificate CSV, one line per time, each value formatted alone."""
+    yield "estimate,p,mu,t,lhs,rhs,margin"
+    for c in certs:
+        head = f"{c.estimate_id},{_fmt_p(c.p)},{repr(float(c.mu))}"
+        yield from (f"{head},{repr(float(t))},{repr(float(l))},{repr(float(r))},"
+                    f"{repr(float(m))}"
+                    for t, l, r, m in zip(c.times, c.lhs, c.rhs, c.margin))
 
 
 def fading_memory_max(times, values, t, mu, vmin):

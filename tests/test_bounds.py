@@ -1,6 +1,7 @@
 """Certificate formulas, validity rules, soundness runs, bias experiment."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,12 +243,21 @@ def _manufacturing_run():
     return manufacturing_run(simulate_closed_loop(sc, 2.0, Grid(101, 4e-3, 2.0)))
 
 
-@pytest.mark.parametrize("kind", ["continuity", "transport", "manufacturing"])
+@pytest.mark.parametrize("kind", ["continuity", "transport", "manufacturing",
+                                  "falling_speed"])
 def test_certificates_match_the_per_time_formulas(kind):
     if kind == "continuity":
         run, base = make_run(rho0="exp(-0.2*pi*x)", b="0.1*sin(2*t)",
                              v="1 + 0.2*sin(pi*x) + 0.3*t*x",
                              grid=Grid(121, 5e-3, 1.6)), "E2.4"
+    elif kind == "falling_speed":
+        # the speed's minimum falls on every row, and t = 1/vmin is crossed
+        run, base = make_run(rho0="exp(-0.2*pi*x)", b="0.1*sin(2*t)",
+                             v="1.2 + 0.2*sin(pi*x) - 0.1*t*x",
+                             grid=Grid(121, 5e-3, 1.6)), "E2.4"
+        states = np.stack([run.ext.vmin, run.ext.dvdx_max, run.ext.a_max], axis=1)
+        assert len(np.unique(states, axis=0)) > 20
+        assert run.times[0] < 1.0 / run.ext.vmin[0] and run.times[-1] > 1.0 / run.ext.vmin[-1]
     elif kind == "transport":
         run, base = _reaction_run(), "E2.10"
     else:
@@ -275,6 +285,25 @@ def test_overflowing_gain_is_an_estimate_error():
     # the boundary gain alone overflows once the source term vanishes
     assert boundary_coefficient(INF, 0.3, 0.0, 1e-8) == INF
     assert boundary_coefficient(2, 0.3, 0.0, 1e-8) == INF
+
+
+@pytest.mark.parametrize("ps,mus,mu,row,term", [
+    ([2], [1.0, 2.0], 1.0, 4, "boundary gain"),
+    ([2], [2.0, 1.0], 2.0, 3, "boundary gain"),
+    ([INF, 2], [1.0, 2.0], 1.0, 5, "source gain"),
+])
+def test_overflow_error_names_the_first_cell_in_p_mu_t_order(ps, mus, mu, row, term):
+    # as vmin falls, the p = 2 boundary gain overflows at mu/vmin > 354.9 and
+    # the source gain at mu/vmin > 708.8, so a larger mu overflows sooner
+    grid = Grid(2, 0.1, 1.0)
+    vmin = np.array([1.0, 0.1, 0.01, 0.004, 0.002, 0.001, 1e-4, 1e-4, 1e-5, 1e-5, 1e-6])
+    ext = Extremals(vmin=vmin, dvdx_max=np.zeros(11), a_max=np.zeros(11))
+    run = hand_run("continuity", grid, b=1.0, ext=ext)
+    cert_id = "E2.5" if ps[0] == INF else "E2.4"
+    message = (f"{cert_id} at p={ps[0]}, mu={mu}, t={float(grid.times[row])}: "
+               f"the {term} term overflows")
+    with pytest.raises(EstimateValidityError, match=f"^{re.escape(message)}$"):
+        certify(run, "E2.4", ps, mus)
 
 
 def test_overshoot_factor_respects_peak_bound():

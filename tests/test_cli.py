@@ -7,13 +7,18 @@ import math
 import os
 import tempfile
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab import cli
+from transportlab.bounds import BoundCertificate
 from transportlab.norms import lp_log_norm
+from transportlab.scenarios import load_scenario, simulation
+
+import reference_forms
 
 TRANSPORT_SRC = """\
 problem = transport
@@ -446,6 +451,37 @@ def test_nan_and_inf_serialize_plainly(tmp_path):
         assert v["all_valid"] is False
         assert v["min_margin"] is None
         assert not any(v["mu_valid"])
+
+
+# -- artifact format ---------------------------------------------------------
+
+@pytest.mark.parametrize("src,kind", [(CONTINUITY_SRC, "rho"), (TRANSPORT_SRC, "w")])
+def test_field_csv_matches_the_per_value_form(tmp_path, src, kind):
+    state = simulation(load_scenario(write(tmp_path, "s.txt", src))).state
+    assert state.kind == kind
+    assert "\n".join(cli._field_lines(state)) == \
+        "\n".join(reference_forms.field_lines(state))
+
+
+def test_certificate_csv_matches_the_per_value_form(tmp_path):
+    sc = load_scenario(write(tmp_path, "dens.txt", CONTINUITY_SRC))
+    certs = cli._certificates(sc)
+    assert "\n".join(cli._cert_lines(certs)) == "\n".join(reference_forms.cert_lines(certs))
+
+
+def test_csv_writers_format_edge_values_as_the_per_value_form():
+    edge = np.array([-0.0, 5e-324, 1e-05, 1e16, 1e22])
+    state = SimpleNamespace(kind="w", times=edge[[0, 2, 4]], xs=edge,
+                            values=np.array([edge, -edge[::-1], edge * 3.0]))
+    assert "\n".join(cli._field_lines(state)) == \
+        "\n".join(reference_forms.field_lines(state))
+    rhs = np.array([math.nan, 5e-324, math.nan, -0.0, 1e22])
+    certs = [BoundCertificate(
+        estimate_id=est, p=p, mu=mu, times=edge, lhs=edge[::-1], rhs=rhs,
+        margin=rhs - edge[::-1], valid=~np.isnan(rhs), slack=edge, coefficient_factored=rhs,
+        coefficient_unfactored=rhs, passed=True)
+        for est, p, mu in [("E2.4", 2, 1e-05), ("E2.5", math.inf, 1e22), ("E2.4", 1.5, -0.0)]]
+    assert "\n".join(cli._cert_lines(certs)) == "\n".join(reference_forms.cert_lines(certs))
 
 
 # -- hostile files -----------------------------------------------------------
