@@ -53,7 +53,7 @@ from .norms import (
     lp_norm,
     lp_norm_rows,
 )
-from .transport import SolutionField, TransportProblem, solve_field
+from .transport import SolutionField, TransportProblem, solve_fields
 
 __all__ = [
     "EstimateValidityError",
@@ -158,9 +158,10 @@ def _state_gains(base, p, mu, vmin, vmax, a_max, a_eff):
 class TrajectoryRun:
     """A solved scenario packaged for certification.
 
-    state_coarse re-solves the same problem with half the spatial nodes and
-    the same dt; its LHS disagreement with the fine solve calibrates the
-    certificate slack.
+    state_coarse is the same problem on ``grid.coarsened_space()``, about
+    half the spatial nodes and the same dt, read from the fine solve's fan;
+    its LHS disagreement with the fine field calibrates the certificate
+    slack.
     """
 
     kind: str  # "transport" | "continuity" | "manufacturing"
@@ -189,8 +190,8 @@ class TrajectoryRun:
 
 
 def transport_run(problem: TransportProblem, grid: Grid) -> TrajectoryRun:
-    fine = solve_field(problem, grid)
-    coarse = solve_field(problem, grid.coarsened_space())
+    fine, coarse = (w.check_finite() for w in
+                    solve_fields(problem, [grid, grid.coarsened_space()]))
     b_values = np.asarray(problem.b(grid.times), dtype=float) * np.ones_like(grid.times)
     return TrajectoryRun(
         kind="transport", grid=grid, state=fine, state_coarse=coarse,

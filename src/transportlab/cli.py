@@ -256,8 +256,11 @@ def main(argv=None) -> int:
 
     out = args.out or os.environ.get("TRANSPORTLAB_OUT", ".")
     try:
-        sc = load_scenario(args.file)
-        files, passed = run_mode(sc, args.mode, out, args.seed)
+        # no floating-point warnings for the run: a non-finite value that
+        # matters fails a check and is reported as JSON, not on stderr
+        with np.errstate(all="ignore"):
+            sc = load_scenario(args.file)
+            files, passed = run_mode(sc, args.mode, out, args.seed)
     except (ScenarioError, FieldValidationError, ManufacturingError,
             ExpressionError, OracleError, EstimateValidityError,
             CharacteristicsError, OSError) as e:

@@ -21,9 +21,10 @@ from .fields import (
     TransportCoefficients,
     VelocityField,
 )
-from .transport import SolutionField, TransportProblem, solve_field
+from .transport import SolutionField, TransportProblem, solve_fields
 
-__all__ = ["log_state_problem", "solve_continuity", "equilibrium_profile"]
+__all__ = ["log_state_problem", "solve_continuity", "log_states", "density",
+           "equilibrium_profile"]
 
 
 def log_state_problem(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
@@ -44,15 +45,28 @@ def solve_continuity(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
 
     Raises FieldValidationError when a density is not finite.
     """
-    rho0.validate_positive(grid.xs)
-    problem = log_state_problem(rho_s, rho0, b, v)
-    w = solve_field(problem, grid)
+    (w,) = log_states(rho_s, rho0, b, v, [grid])
+    return density(rho_s, w.check_finite()).check_finite()
+
+
+def log_states(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
+               v: VelocityField, grids: list) -> list[SolutionField]:
+    """The log states w = ln(rho/rho_s) on grids that share their times, from
+    one fan and unchecked (see ``solve_fields``).  rho0 is validated on the
+    first grid's nodes; a caller that reads another grid's state checks
+    rho0 on its nodes first, as that grid's own solve would."""
+    rho0.validate_positive(grids[0].xs)
+    return solve_fields(log_state_problem(rho_s, rho0, b, v), grids)
+
+
+def density(rho_s: float, w: SolutionField) -> SolutionField:
+    """The density rho_s e^w of a log state, unchecked.  It is computed in
+    w's own array, so a solve holds one field, not two: w is spent."""
     with np.errstate(over="ignore"):  # check_finite rejects an overflow
-        rho = rho_s * np.exp(w.values)
-    return SolutionField(
-        grid=grid, times=w.times, xs=w.xs, values=rho,
-        kind="rho", component="full",
-    ).check_finite()
+        rho = np.exp(w.values, out=w.values)
+        rho *= rho_s
+    return SolutionField(grid=w.grid, times=w.times, xs=w.xs, values=rho,
+                         kind="rho", component="full")
 
 
 def equilibrium_profile(rho_s: float, b_const: float,

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .bounds import TrajectoryRun
-from .continuity import solve_continuity
+from .continuity import density, log_states
 from .expr import Expression, parse
 from .fields import (FD_STEP, BoundarySignal, Grid, InitialProfile,
                      VelocityField, _filled)
@@ -369,6 +369,7 @@ class ClosedLoopRun:
     scenario: ProductionScenario
     grid: Grid
     rho: SolutionField
+    rho_coarse: SolutionField    # density on grid.coarsened_space(), unchecked
     w_trace: np.ndarray          # inventory of the solved density
     u_trace: np.ndarray          # inflow flux the controller commands
     v_times: np.ndarray
@@ -394,7 +395,9 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
     ``grid`` supplies the resolution (nx, dt); its own horizon is replaced by
     the requested one.  Each window consumes the exact transported state of
     the previous window, and the chained speed samples are wrapped as one
-    global piecewise-linear velocity for the density solve.
+    global piecewise-linear velocity for the density solve.  That solve's fan
+    also gives the density on ``grid.coarsened_space()``, which
+    ``manufacturing_run`` checks and reads for the certificate slack.
     """
     horizon = float(horizon)
     if horizon > scenario.horizon + 1e-9:
@@ -429,8 +432,10 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
         i = j
 
     velocity = sampled_velocity(times, v_values)
-    rho = solve_continuity(scenario.rho_s, scenario.rho0, scenario.b,
-                           velocity, run_grid)
+    w, w_coarse = log_states(scenario.rho_s, scenario.rho0, scenario.b,
+                             velocity, [run_grid, run_grid.coarsened_space()])
+    rho = density(scenario.rho_s, w.check_finite()).check_finite()
+    rho_coarse = density(scenario.rho_s, w_coarse)
     w_trace = np.trapezoid(rho.values, xs, axis=1)
     b_row = np.asarray(scenario.b(times), dtype=float) * np.ones_like(times)
     u_trace = scenario.rho_s * \
@@ -438,7 +443,8 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
     consistency = float(np.max(np.abs(w_internal - w_trace)))
 
     return ClosedLoopRun(
-        scenario=scenario, grid=run_grid, rho=rho, w_trace=w_trace,
+        scenario=scenario, grid=run_grid, rho=rho, rho_coarse=rho_coarse,
+        w_trace=w_trace,
         u_trace=u_trace, v_times=times, v_values=v_values, velocity=velocity,
         windows=windows, w_internal=w_internal, consistency_max=consistency,
         terminal=terminal_time(scenario), window_limit=limit,
@@ -487,11 +493,15 @@ def envelope_check(run: ClosedLoopRun, tol: float = 1e-6) -> EnvelopeReport:
 
 
 def manufacturing_run(run: ClosedLoopRun) -> TrajectoryRun:
-    """Package a closed-loop run for certification against the flush bound."""
+    """Package a closed-loop run for certification against the flush bound.
+
+    The coarse density is the run's.  It is checked here, not in the
+    simulation, so a simulation never fails on it: rho0 on its nodes first,
+    as a solve of its own did, then its values."""
     sc = run.scenario
     grid = run.grid
-    coarse = solve_continuity(sc.rho_s, sc.rho0, sc.b, run.velocity,
-                              grid.coarsened_space())
+    sc.rho0.validate_positive(run.rho_coarse.xs)
+    coarse = run.rho_coarse.check_finite()
     ones = np.ones_like(grid.xs)
     phi_row = np.log(np.asarray(sc.rho0(grid.xs), dtype=float) * ones / sc.rho_s)
     b_vals = np.asarray(sc.b(grid.times), dtype=float) * np.ones_like(grid.times)

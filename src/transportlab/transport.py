@@ -29,6 +29,10 @@ left the strip, only the first one past the wall is kept, as the right
 bracket of the nodes near x = 1.  The fan evaluates a and f once per block
 of ``ROW_BLOCK`` steps, with the sums of single steps, term for term, and
 interpolates the block's rows in one pass, bitwise as np.interp per row.
+``solve_fields`` runs one fan for grids that share their times, such as a
+certificate's grid and its coarsened grid: the fan's initial members sit at
+the union of their nodes, and each grid interpolates from its own members,
+so each field is bit for bit the one a solve of its own gives.
 
 Nodes lying exactly on a jump locus (the separatrix included) take the
 left-limit value, matching the left-continuity convention for piecewise
@@ -62,6 +66,7 @@ __all__ = [
     "SolutionField",
     "solve_point",
     "solve_field",
+    "solve_fields",
     "decompose",
 ]
 
@@ -166,37 +171,88 @@ def solve_point(problem: TransportProblem, grid: Grid, t: float, x: float) -> fl
 # Field evaluation along a characteristic fan
 # ---------------------------------------------------------------------------
 
+class _Members:
+    """One grid's members of a fan: the boundary members and the grid's own
+    feet, numbered in position order as a fan of that grid alone numbers
+    them.  ``cols`` holds the fan's column of each (None when the grid has
+    all of them), ``fences`` and ``seg_end`` its segments, and ``stop`` - 1
+    its first member past the wall.
+    """
+
+    def __init__(self, grid: Grid, K: int, jumps: tuple, fan_feet: np.ndarray):
+        feet = np.unique(np.concatenate([grid.xs, jumps]))
+        self.grid = grid
+        self.stop = K + 1 + len(feet)
+        self.cols = None if len(feet) == len(fan_feet) else np.concatenate(
+            [np.arange(K + 1), K + 1 + np.searchsorted(fan_feet, feet)])
+        # segment 0 runs from a row's latest boundary member to the
+        # separatrix K, segment s >= 1 from locus s - 1 (of x = 0, then of
+        # each jump point) to locus s or the last member, both included
+        loci = [K + 1 + int(np.searchsorted(feet, xi)) for xi in (0.0,) + jumps]
+        self.fences = np.array([K] + loci[1:])  # segment s ends at fence s
+        self.seg_end = np.append(self.fences + 1, self.stop)
+        self.his = []  # stop after each step of the block being advanced
+
+    def retire(self, past: int) -> int:
+        """Keep the members up to the first one at or after fan column
+        ``past``, note the new ``stop`` in ``his``, and return the fan column
+        after the last member kept."""
+        full = self.cols is None
+        first_past = past if full else int(np.searchsorted(self.cols, past))
+        self.stop = min(self.stop, first_past + 1)
+        self.his.append(self.stop)
+        return self.stop if full else int(self.cols[self.stop - 1]) + 1
+
+    def own(self, X: np.ndarray, w: np.ndarray, L: int, S: int):
+        """This grid's columns of the fan's positions X and of w, the values
+        of the fan's members from L on; w keeps this grid's members L to S."""
+        if self.cols is None:
+            return X, w[:, :S - L]
+        return X[:, self.cols], w[:, self.cols[L:S] - L]
+
+
 class _Fan:
-    """One characteristic per data sample, advanced in lockstep over the grid.
+    """One characteristic per data sample, advanced in lockstep over the
+    times that one or more grids share.
 
     Member layout (positions ascending): boundary members in reverse
     injection order (the t = 0 injection is the separatrix, carrying the
     boundary-limit value), then the initial member released at x = 0
-    (carrying the initial-data limit), then initial members at every grid
-    node and declared jump point.  Jump-point members double as segment
-    fences: interpolation runs inside segments only.  Members step over the
-    window [first, stop), from the latest boundary member to the first one
-    past the wall: the flow keeps order, so that member is the right bracket
-    for nodes near x = 1, and the ones after it are never read again.
+    (carrying the initial-data limit), then initial members at every node of
+    every grid and at every declared jump point.  Each grid reads its own
+    members (``_Members``): the boundary members and its own feet.  Its
+    jump-point members double as segment fences: interpolation runs inside
+    segments only.  Members step over the window [first, stop), from the
+    latest boundary member to the last of the grids' first members past the
+    wall: the flow keeps order, so that member is a grid's right bracket for
+    nodes near x = 1, and the ones after it are never read again.
+
+    A member's positions, its a and f values and its running sums depend on
+    that member alone, so each grid's field is bit for bit the one a fan of
+    its own gives.  For odd nx every node of ``grid.coarsened_space()`` is a
+    node of the grid, so the two grids' fan is the grid's own; for even nx
+    it adds at most nx/2 + 1 members.
 
     Positions depend on v alone, so a block of ``ROW_BLOCK`` RK4 steps runs
     first, then one call of a and one of f cover the block's rows on the
     union of their windows.  The union adds members not yet injected, at
     x = 0, and members past the wall, clamped to x = 1, where each row
     evaluates anyway; their increments are zero.  One pass of ``_to_nodes``
-    then interpolates all the block's rows: a search of the nodes per row,
-    the rest on (rows, nodes) arrays.
+    per grid then interpolates all the block's rows: a search of the nodes
+    per row, the rest on (rows, nodes) arrays.
     """
 
-    def __init__(self, problem: TransportProblem, grid: Grid,
+    def __init__(self, problem: TransportProblem, grids: list,
                  include_phi: bool, include_b: bool, include_f: bool):
         self.problem = problem
-        self.grid = grid
         self.include_f = include_f
-        K = grid.nt
+        self.times, self.h = grids[0].times, grids[0].dt
+        K = len(self.times) - 1
         self.K = K
 
-        feet = np.unique(np.concatenate([grid.xs, np.asarray(problem.phi.jump_points)]))
+        jumps = problem.phi.jump_points
+        feet = np.unique(np.concatenate([g.xs for g in grids] + [np.asarray(jumps)]))
+        self.members = [_Members(g, K, jumps, feet) for g in grids]
         M = (K + 1) + len(feet)
 
         self.X = np.zeros(M)
@@ -215,46 +271,44 @@ class _Fan:
         # by each step k, member K - 1 - k, at the step's end time
         if include_b:
             self.w0[K] = float(problem.b(0.0))
-            self.w0[K - 1::-1] = problem.b(grid.times[:-1] + grid.dt)
-
-        # segment 0 runs from a row's latest boundary member to the
-        # separatrix K, segment s >= 1 from locus s - 1 (of x = 0, then of
-        # each jump point) to locus s or the last member, both included
-        loci = [K + 1 + int(np.searchsorted(feet, xi))
-                for xi in (0.0,) + problem.phi.jump_points]
-        self.fences = np.array([K] + loci[1:])  # segment s ends at fence s
-        self.seg_end = np.append(self.fences + 1, M)
+            self.w0[K - 1::-1] = problem.b(self.times[:-1] + self.h)
 
         self._latest = np.zeros((2, M))  # a and f of the latest row, by member
         x = np.clip(self.X[K:], 0.0, 1.0)
         self._latest[0, K:] = problem.coeffs.a(0.0, x)
         self._latest[1, K:] = problem.coeffs.f(0.0, x)
 
-    def first_row(self, out: np.ndarray):
-        """Interpolate the member values at t = 0 onto the grid nodes."""
+    def first_row(self, outs: list):
+        """Interpolate the member values at t = 0 onto each grid's nodes."""
         lo, hi = self.first, self.stop
         w = np.exp(self.A[lo:hi]) * (self.w0[lo:hi] + self.Fq[lo:hi])
-        self._to_nodes(out[None], self.X[None], w[None], lo, np.array([lo]), np.array([hi]))
+        for m, out in zip(self.members, outs):
+            X, wm = m.own(self.X[None], w[None], lo, m.stop)
+            self._to_nodes(m, out[None], X, wm, lo, np.array([lo]), np.array([m.stop]))
 
-    def advance(self, k0: int, out: np.ndarray):
+    def advance(self, k0: int, outs: list):
         """Step rows k0 .. k0 + B, injecting a boundary member at the wall on
-        each step, and interpolate rows k0 + 1 .. k0 + B into ``out`` (B rows)."""
-        h = self.grid.dt
-        B = len(out)
+        each step, and interpolate rows k0 + 1 .. k0 + B into each grid's
+        ``out`` (B rows)."""
+        h = self.h
+        B = len(outs[0])
         L, S = self.K - (k0 + B), self.stop  # the union window [L, S)
+        starts = [m.stop for m in self.members]
+        for m in self.members:
+            m.his = []
         X = np.empty((B, len(self.X)))
-        act = np.empty((B, 2), dtype=int)    # the window each step integrates
+        ends = []  # the end of the window each step integrates
         for j in range(B):
             lo = self.first
             self.X[lo:self.stop] = rk4_step(
-                self.problem.v, float(self.grid.times[k0 + j]), self.X[lo:self.stop], h)
+                self.problem.v, float(self.times[k0 + j]), self.X[lo:self.stop], h)
             past = lo + int(np.searchsorted(self.X[lo:self.stop], 1.0, side="right"))
-            self.stop = min(self.stop, past + 1)
-            act[j] = lo, self.stop
+            self.stop = max([m.retire(past) for m in self.members])
+            ends.append(self.stop)
             self.first = lo - 1  # the member injected at x = 0
             X[j] = self.X
 
-        times = self.grid.times[k0:k0 + B, None] + h
+        times = self.times[k0:k0 + B, None] + h
         x = np.clip(X[:, L:S], 0.0, 1.0)
         rows = np.empty((2, B + 1, S - L))  # a and f, after the latest row
         rows[:, 0] = self._latest[:, L:S]
@@ -263,8 +317,8 @@ class _Fan:
         self._latest[:, L:S] = rows[:, -1]
         a, f = rows
         del x
-        cols = np.arange(L, S)
-        idle = (cols < act[:, :1]) | (cols >= act[:, 1:])
+        cols = np.arange(L, S)  # step j integrates from L + B - j
+        idle = (cols < np.arange(L + B, L, -1)[:, None]) | (cols >= np.array(ends)[:, None])
 
         A = self._integrated(self.A[L:S], a, h, idle)
         self.A[L:S] = A[-1]
@@ -276,7 +330,11 @@ class _Fan:
         del rows, a, f
         w = np.exp(A[1:])
         w *= self.w0[L:S] + Fq
-        self._to_nodes(out, X, w, L, L + np.arange(B - 1, -1, -1), act[:, 1])
+        lo = L + np.arange(B - 1, -1, -1)
+        for m, out, start in zip(self.members, outs, starts):
+            Xm, wm = m.own(X, w, L, start)
+            self._to_nodes(m, out, Xm, wm, L, lo, np.array(m.his))
+            del Xm, wm  # one grid's temporaries at a time
 
     @staticmethod
     def _integrated(start, g, h, idle):
@@ -290,21 +348,21 @@ class _Fan:
         out[1:][idle] = 0.0
         return np.cumsum(out, axis=0, out=out)
 
-    def _to_nodes(self, out, X, w, L, lo, hi):
-        """Interpolate onto the grid nodes, one row of ``out`` per row of X,
-        which holds all positions; row r reads its window [lo[r], hi[r]) and
-        w[r] the values of the members from L on.  A node takes np.interp's
-        value within the segment of the first fence at or right of it.  A
-        member within 1e-13 of the one before it is dropped, but where it
-        starts a segment; the rare rows with such a pair remap their
-        brackets to the head of each cluster.
+    def _to_nodes(self, m: _Members, out, X, w, L, lo, hi):
+        """Interpolate onto the nodes of m's grid, one row of ``out`` per row
+        of X, which holds all of m's positions; row r reads its window
+        [lo[r], hi[r]) and w[r] the values of m's members from L on.  A node
+        takes np.interp's value within the segment of the first fence at or
+        right of it.  A member within 1e-13 of the one before it is dropped,
+        but where it starts a segment; the rare rows with such a pair remap
+        their brackets to the head of each cluster.
         """
-        xs = self.grid.xs
+        xs = m.grid.xs
         rows = np.arange(len(out))[:, None]
         seg = np.zeros(out.shape, dtype=np.intp)
-        for fence in np.minimum(X[:, self.fences], 1.0).T:
+        for fence in np.minimum(X[:, m.fences], 1.0).T:
             seg += fence[:, None] < xs
-        end = np.minimum(self.seg_end[seg], hi[:, None]) - 1
+        end = np.minimum(m.seg_end[seg], hi[:, None]) - 1
         j = np.array([np.searchsorted(X[r, a:b], xs, side="right") + (a - 1)
                       for r, (a, b) in enumerate(zip(lo, hi))])
         np.minimum(j, end, out=j)
@@ -318,7 +376,7 @@ class _Fan:
         for r in np.flatnonzero((~(gap > 1e-13)).any(axis=1)):
             l0, idx = lo[r], np.arange(lo[r], hi[r])
             keep = np.concatenate([[True], gap[r, l0 - L:hi[r] - L - 1] > 1e-13])
-            kept = keep | np.isin(idx, self.fences[1:])  # a jump locus starts one
+            kept = keep | np.isin(idx, m.fences[1:])  # a jump locus starts one
             head = np.maximum.accumulate(np.where(kept, idx, l0))
             after = np.minimum.accumulate(np.where(kept, idx, hi[r])[::-1])[::-1]
             e = end[r]
@@ -338,20 +396,32 @@ def solve_field(problem: TransportProblem, grid: Grid,
                 include_phi: bool = True, include_b: bool = True,
                 include_f: bool = True) -> SolutionField:
     """Solve on the whole grid; see the module docstring for the method."""
-    problem.validate(grid)
-    fan = _Fan(problem, grid, include_phi, include_b, include_f)
-    values = np.empty((grid.nt + 1, grid.nx))
-    fan.first_row(values[0])
-    for k in range(0, grid.nt, ROW_BLOCK):
-        fan.advance(k, values[k + 1:k + 1 + ROW_BLOCK])
-    return SolutionField(
-        grid=grid,
-        times=grid.times,
-        xs=grid.xs,
-        values=values,
-        kind="w",
-        component=component,
-    ).check_finite()
+    (w,) = solve_fields(problem, [grid], component, include_phi, include_b, include_f)
+    return w.check_finite()
+
+
+def solve_fields(problem: TransportProblem, grids: list,
+                 component: str = "full",
+                 include_phi: bool = True, include_b: bool = True,
+                 include_f: bool = True) -> list[SolutionField]:
+    """``solve_field`` on each of ``grids``, which share their times, from
+    one fan.  Each grid is validated, in order, before the fan starts.  Each
+    field is bit for bit the one ``solve_field`` gives on its grid, but
+    unchecked: the caller runs ``check_finite`` on the ones it reads.
+    """
+    times = grids[0].times
+    if any(not np.array_equal(g.times, times) for g in grids):
+        raise ValueError("the grids of one fan must share their times")
+    for g in grids:
+        problem.validate(g)
+    fan = _Fan(problem, grids, include_phi, include_b, include_f)
+    values = [np.empty((len(times), g.nx)) for g in grids]
+    fan.first_row([v[0] for v in values])
+    for k in range(0, len(times) - 1, ROW_BLOCK):
+        fan.advance(k, [v[k + 1:k + 1 + ROW_BLOCK] for v in values])
+    return [SolutionField(grid=g, times=g.times, xs=g.xs, values=v,
+                          kind="w", component=component)
+            for g, v in zip(grids, values)]
 
 
 def decompose(problem: TransportProblem, grid: Grid

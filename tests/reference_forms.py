@@ -11,17 +11,22 @@ expression speed through its numpy function at Python floats too, as the
 scalar RK4 steps did before they read its float function.  ``field_lines``
 and ``cert_lines`` are the CLI's CSV writers as they formatted one value at
 a time, before they formatted a row or a certificate at a time.
+``two_solves``, ``transport_run``, ``continuity_run`` and
+``manufacturing_run`` solve a certificate's coarse grid with a fan of its
+own, as they did before one fan served both grids.
 """
 
 import math
 
 import numpy as np
 
-from transportlab.bounds import boundary_coefficient, mu_is_valid
+from transportlab.bounds import TrajectoryRun, boundary_coefficient, mu_is_valid
 from transportlab.characteristics import rk4_step
 from transportlab.cli import _fmt_p
+from transportlab.continuity import log_state_problem, solve_continuity
 from transportlab.fields import VelocityField
-from transportlab.norms import heaviside_h
+from transportlab.norms import Extremals, heaviside_h
+from transportlab.transport import solve_field
 
 INF = math.inf
 
@@ -245,3 +250,43 @@ def fan_values(problem, grid, include_phi=True, include_b=True, include_f=True):
         a_cur, f_cur = a_new, f_new
         eval_row(values[k + 1], first, hi)
     return values
+
+
+def two_solves(problem, grid, include_phi=True, include_b=True, include_f=True):
+    """The fields on the grid and on its coarsened grid, one solve each."""
+    return [solve_field(problem, g, "full", include_phi, include_b, include_f)
+            for g in (grid, grid.coarsened_space())]
+
+
+def transport_run(problem, grid):
+    """``bounds.transport_run`` with a solve of its own for the coarse grid."""
+    fine, coarse = two_solves(problem, grid)
+    phi_row = np.asarray(problem.phi(grid.xs), dtype=float) * np.ones_like(grid.xs)
+    return TrajectoryRun(
+        kind="transport", grid=grid, state=fine, state_coarse=coarse,
+        ext=Extremals(*extremals(problem.v, grid, problem.coeffs.a)),
+        b_values=b_values(problem, grid), f_rows=f_rows(problem, grid),
+        phi_row=phi_row)
+
+
+def continuity_run(rho_s, rho0, b, v, grid):
+    """``bounds.continuity_run`` over the two-solve ``transport_run``."""
+    problem = log_state_problem(rho_s, rho0, b, v)
+    rho0.validate_positive(grid.xs)
+    run = transport_run(problem, grid)
+    run.kind, run.rho_s = "continuity", rho_s
+    return run
+
+
+def manufacturing_run(run):
+    """``manufacturing.manufacturing_run``, solving the coarse density anew."""
+    sc, grid = run.scenario, run.grid
+    coarse = solve_continuity(sc.rho_s, sc.rho0, sc.b, run.velocity,
+                              grid.coarsened_space())
+    ones = np.ones_like(grid.xs)
+    phi_row = np.log(np.asarray(sc.rho0(grid.xs), dtype=float) * ones / sc.rho_s)
+    b_vals = np.asarray(sc.b(grid.times), dtype=float) * np.ones_like(grid.times)
+    return TrajectoryRun(
+        kind="manufacturing", grid=grid, state=run.rho, state_coarse=coarse,
+        ext=None, b_values=b_vals, f_rows=None, phi_row=phi_row,
+        rho_s=sc.rho_s, r=run.terminal)

@@ -362,9 +362,9 @@ def test_bias_rejects_bad_arguments():
         bias_experiment(0.5, INF)
 
 
-def test_transport_run_samples_the_boundary_and_source_traces_in_bulk():
-    # b is called a fixed number of times whatever nt is: once per solve to
-    # validate it, twice per solve by the fan, once for the trace
+def test_transport_run_samples_the_boundary_through_one_fan_and_the_traces_in_bulk():
+    # b is called a fixed number of times whatever nt is: once per grid to
+    # validate it, twice by the one fan of both grids, once for the trace
     for nt in (80, 200):
         grid = Grid(41, 0.8 / nt, 0.8)
         signal = Counted(BoundarySignal.from_expression("0.3*cos(2*t)"))
@@ -376,6 +376,6 @@ def test_transport_run_samples_the_boundary_and_source_traces_in_bulk():
                 a=SpaceTimeField.from_expression("-0.1*x"),
                 f=SpaceTimeField.from_expression("0.2*sin(pi*x*t)^2 + min(x, t)")))
         run = transport_run(problem, grid)
-        assert signal.calls == 7
+        assert signal.calls == 5
         assert np.array_equal(run.b_values, reference_forms.b_values(problem, grid))
         assert np.array_equal(run.f_rows, reference_forms.f_rows(problem, grid))

@@ -14,9 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab import cli
-from transportlab.bounds import BoundCertificate
+from transportlab.bounds import BoundCertificate, certify
 from transportlab.norms import lp_log_norm
-from transportlab.scenarios import load_scenario, simulation
+from transportlab.manufacturing import simulate_closed_loop
+from transportlab.scenarios import (continuity_data, load_scenario,
+                                    production_scenario, simulation,
+                                    trajectory_run, transport_problem)
 
 import reference_forms
 
@@ -43,6 +46,21 @@ b = "0.0953101798043249 + 0.05*sin(t)^3"   # ln(1.1), so the corner matches
 nx = 121
 dt = 0.005
 horizon = 0.6
+estimates = E2.4, E2.5
+p = 2, inf
+mu = 0.3
+"""
+
+# even nx: the coarse grid's nodes are not grid nodes, so the one fan of a
+# certificate's two grids carries members of both
+EVEN_CONTINUITY_SRC = """\
+problem = continuity
+v = "1.2 + 0.15*cos(pi*x)*cos(2*t)"
+rho0 = "1.1 + 0.2*x^2*(3 - 2*x)"
+b = "0.0953101798043249 + 0.05*sin(t)^3"   # ln(1.1), so the corner matches
+nx = 40
+dt = 0.01
+horizon = 0.8
 estimates = E2.4, E2.5
 p = 2, inf
 mu = 0.3
@@ -203,6 +221,66 @@ count = 2
     assert rc == 0
     assert (a / "camp_sweep.csv").read_bytes() != \
         (other / "camp_sweep.csv").read_bytes()
+
+
+def test_certify_on_an_even_grid_passes_with_field_norms(tmp_path):
+    path = write(tmp_path, "even.txt", EVEN_CONTINUITY_SRC)
+    for mode in ("simulate", "certify"):
+        assert cli.main(["run", path, "--mode", mode, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "even_field.csv")
+    rho = np.array(rows, dtype=float)[:, 2].reshape(-1, 40)
+    xs = np.linspace(0.0, 1.0, 40)
+    _, cert_rows = read_csv(tmp_path / "even_cert.csv")
+    lhs = [float(r[4]) for r in cert_rows if r[:3] == ["E2.4", "2", "0.3"]]
+    assert len(lhs) == len(rho) == 81
+    assert lhs == pytest.approx([lp_log_norm(row, 1.0, xs, 2) for row in rho], abs=1e-12)
+    report = json.loads((tmp_path / "even_cert.json").read_text())
+    assert report["passed"] is True
+    assert [v["estimate"] for v in report["verdicts"]] == ["E2.4", "E2.5"]
+
+
+def _two_solve_run(sc):
+    grid = sc.grid()
+    if sc.problem == "transport":
+        return reference_forms.transport_run(transport_problem(sc), grid)
+    if sc.problem == "continuity":
+        return reference_forms.continuity_run(sc.rho_s, *continuity_data(sc), grid)
+    return reference_forms.manufacturing_run(
+        simulate_closed_loop(production_scenario(sc), sc.horizon, grid))
+
+
+@pytest.mark.parametrize("src", [TRANSPORT_SRC, CONTINUITY_SRC, EVEN_CONTINUITY_SRC,
+                                 MANUFACTURING_SRC],
+                         ids=["transport", "continuity", "even_continuity", "manufacturing"])
+def test_certificates_equal_those_of_a_solve_per_grid(tmp_path, src):
+    sc = load_scenario(write(tmp_path, "s.txt", src))
+    runs = trajectory_run(sc), _two_solve_run(sc)
+    assert np.array_equal(runs[0].state_coarse.values, runs[1].state_coarse.values)
+    for est in sc.estimates:
+        got, expected = (certify(run, est, sc.p, sc.mu) for run in runs)
+        assert len(got) == len(expected) == len(sc.p) * len(sc.mu)
+        for a, b in zip(got, expected):
+            assert (a.estimate_id, a.p, a.mu, a.passed) == (b.estimate_id, b.p, b.mu, b.passed)
+            for key in ("times", "lhs", "rhs", "margin", "valid", "slack",
+                        "coefficient_factored", "coefficient_unfactored"):
+                assert np.array_equal(getattr(a, key), getattr(b, key), equal_nan=True)
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+@pytest.mark.parametrize("src", [TRANSPORT_SRC, CONTINUITY_SRC], ids=["transport", "continuity"])
+def test_an_overflowing_speed_reports_json_without_warning(tmp_path, capfd, src, mode):
+    # x*1e200*1e200 overflows in numpy's multiply while the file is read
+    src = src.replace(src.splitlines()[1], 'v = "1 + x*1e200*1e200"')
+    path = write(tmp_path, "fast.txt", src)
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        rc = cli.main(["run", path, "--mode", mode, "--out", str(tmp_path)])
+    assert rc == 2
+    assert [str(w.message) for w in warned] == []
+    captured = capfd.readouterr()
+    assert json.loads(captured.out) == {
+        "error": "ScenarioError", "messages": ["v: velocity is not finite on the grid"]}
+    assert captured.err == ""
 
 
 def test_certify_equilibrium_margins_are_zero(tmp_path):
@@ -492,6 +570,9 @@ _HOSTILE = ["nan", "inf", "-inf", "-1", "0", "1e308"]
 _DATA = {
     "continuity": CONTINUITY_SRC.splitlines()[:4],
     "transport": TRANSPORT_SRC.splitlines()[:6],
+    # rho_s is one of the drawn keys
+    "manufacturing": [line for line in MANUFACTURING_SRC.splitlines()[:5]
+                      if not line.startswith("rho_s")],
 }
 
 

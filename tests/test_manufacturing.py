@@ -7,14 +7,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from transportlab import transport
 from transportlab.bounds import INF, certify
-from transportlab.fields import BoundarySignal, Grid, InitialProfile
+from transportlab.fields import (BoundarySignal, FieldValidationError, Grid,
+                                 InitialProfile)
 from transportlab.manufacturing import (ClosedLoopRun, ManufacturingError,
                                         ProductionScenario, contraction_window,
                                         envelope_check, fixed_point_velocity,
                                         manufacturing_run, sampled_velocity,
                                         simulate_closed_loop, terminal_time)
 from transportlab.norms import sup_log_norm
+
+import reference_forms
 
 
 def scenario(rho_s=1.0, rho0="1", b="0", lam="1/(1 + W)", horizon=4.0, **kw):
@@ -216,6 +220,34 @@ def test_certificates_on_a_time_varying_run():
     certs = certify(manufacturing_run(run), "E3.6", [2, 4, INF], [0.1, 1.0])
     assert len(certs) == 6
     assert all(c.passed and c.all_valid for c in certs)
+
+
+@pytest.mark.parametrize("nx", [101, 100])
+def test_manufacturing_run_reads_the_coarse_density_of_the_simulation(monkeypatch, nx):
+    sc = scenario(rho0="1 + 0.2*x^2*(3 - 2*x)", b="0.05*sin(2*t)^3", horizon=1.0)
+    run = simulate_closed_loop(sc, 1.0, Grid(nx, 4e-3, 1.0))
+    expected = reference_forms.manufacturing_run(run)
+
+    def no_fan(*args):
+        raise AssertionError("manufacturing_run built a fan")
+
+    monkeypatch.setattr(transport, "_Fan", no_fan)
+    got = manufacturing_run(run)
+    assert got.state is run.rho and got.state_coarse is run.rho_coarse
+    assert got.state_coarse.grid == run.grid.coarsened_space()
+    assert np.array_equal(got.state_coarse.values, expected.state_coarse.values)
+    for a, b in zip(certify(got, "E3.6", [2, INF], [0.5]),
+                    certify(expected, "E3.6", [2, INF], [0.5])):
+        assert all(np.array_equal(getattr(a, k), getattr(b, k), equal_nan=True)
+                   for k in ("lhs", "rhs", "margin", "slack", "valid"))
+
+
+def test_a_coarse_value_fails_the_certificate_not_the_simulation():
+    sc = scenario(**UNIFORM, horizon=1.0)
+    run = simulate_closed_loop(sc, 1.0, Grid(41, 5e-3, 1.0))
+    run.rho_coarse.values[3, 2] = np.inf
+    with pytest.raises(FieldValidationError, match="density is not finite at t = 0.015"):
+        manufacturing_run(run)
 
 
 def test_horizon_and_step_guards():

@@ -22,8 +22,11 @@ from transportlab.transport import (
     TransportProblem,
     decompose,
     solve_field,
+    solve_fields,
     solve_point,
 )
+from transportlab import transport
+from transportlab.bounds import transport_run
 
 import reference_forms
 from reference_forms import Counted
@@ -447,3 +450,78 @@ def test_sampled_speed_leaves_fields_and_points_bitwise_unchanged():
     for t, x in [(0.6, 0.2), (0.3, 0.9)]:
         a, b = (solve_point(prob, grid, t, x) for prob in probs)
         assert a.hex() == b.hex()
+
+
+# --- one fan for a grid and its coarsened grid ---------------------------------
+
+# members leave the strip on different steps at speeds from about 1.1 to 2.2
+PAIR = dict(BLOCKED, v="1.5 + 0.4*sin(pi*x)*cos(3*t) + 0.3*exp(-2*x*t)",
+            jumps=(0.45, 0.8))
+FLAGS = [(True, True, True), (False, True, False), (True, False, False),
+         (False, False, True)]  # the full solve and the parts of decompose
+
+
+@pytest.mark.parametrize("speed", ["expression", "sampled"])
+@pytest.mark.parametrize("nx", [101, 241, 20, 400])
+def test_one_fan_gives_each_grid_the_field_of_its_own_solve(nx, speed):
+    # odd nx: the coarse nodes are grid nodes; even nx: the fan adds members
+    grid = Grid(nx, 0.01, 0.6)
+    prob = problem_of(**PAIR)
+    if speed == "sampled":
+        prob.v = sampled_velocity(FAN_TIMES, 1.2 + 0.3 * np.cos(4.0 * FAN_TIMES))
+    grids = [grid, grid.coarsened_space()]
+    for flags in FLAGS:
+        shared = solve_fields(prob, grids, "full", *flags)
+        for field, alone, g in zip(shared, reference_forms.two_solves(prob, grid, *flags), grids):
+            assert field.grid == g and field.times is g.times and field.xs is g.xs
+            assert np.array_equal(field.values, alone.values)
+
+
+def test_grids_of_one_fan_share_their_times():
+    prob = problem_of(**PAIR)
+    with pytest.raises(ValueError, match="share their times"):
+        solve_fields(prob, [Grid(41, 0.02, 0.4), Grid(21, 0.01, 0.4)])
+
+
+def _member_steps(monkeypatch, solve):
+    """The members the fan's RK4 steps move while ``solve()`` runs."""
+    sizes, step = [], transport.rk4_step
+
+    def counted(v, t, x, h):
+        sizes.append(x.size)
+        return step(v, t, x, h)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transport, "rk4_step", counted)
+        solve()
+    return sum(sizes)
+
+
+@pytest.mark.parametrize("nx", [41, 101, 121])
+def test_the_coarse_grid_adds_at_most_its_own_wall_bracket(monkeypatch, nx):
+    # for odd nx the coarse members are fine members; the fan steps one more
+    # only on steps where the coarse grid's first member past the wall lies
+    # after the fine grid's
+    grid = Grid(nx, 0.01, 1.0)
+    coarse = grid.coarsened_space()
+    prob = problem_of(v="1.3 + 0.3*sin(3*x)*cos(t)", phi="x", b="-t")
+    fine = _member_steps(monkeypatch, lambda: solve_field(prob, grid))
+    shared = _member_steps(monkeypatch, lambda: solve_fields(prob, [grid, coarse]))
+    assert fine <= shared <= fine + grid.nt
+    alone = _member_steps(monkeypatch, lambda: solve_field(prob, coarse))
+    assert shared < fine + 0.05 * alone  # not the coarse grid's fan again
+
+
+def test_transport_run_steps_one_fan_for_both_grids(monkeypatch):
+    fans = []
+
+    class Spied(transport._Fan):
+        def __init__(self, *args):
+            super().__init__(*args)
+            fans.append(self)
+
+    monkeypatch.setattr(transport, "_Fan", Spied)
+    grid = Grid(101, 0.01, 1.0)
+    run = transport_run(problem_of(v="1.3 + 0.3*sin(3*x)*cos(t)", phi="x", b="-t"), grid)
+    assert [[m.grid for m in fan.members] for fan in fans] == [[grid, grid.coarsened_space()]]
+    assert run.state_coarse.grid == grid.coarsened_space()
