@@ -21,6 +21,11 @@ positional arguments, ``math`` functions, no binding mapping.  Sums,
 differences, products, quotients, negation, abs, min and max give the same
 bits on both; exp, ln, sin, cos and ^ may differ by an ulp.
 
+In the numpy function, ``a^n`` with a scalar integral exponent n other than
+-1, 0, 1 and 2 is ``|a|^n``, negated for odd n where a is negative: it has
+``np.power``'s bits on nonnegative bases and is within an ulp of them on
+negative ones, at a tenth of the cost.  Any other exponent is ``np.power``.
+
 Evaluation raises ExpressionDomainError for ln or sqrt outside their
 domain, division by zero, a quotient, power or exp that is not finite, and
 an unbound variable; sums, differences and products follow IEEE arithmetic.
@@ -284,9 +289,16 @@ def _div(a, b):
 
 
 def _pow(a, b):
-    # reject results that leave the reals (negative base, fractional exponent)
+    # np.power takes a slow path on negative bases unless n is one of its own
+    # fast exponents; see the module docstring for the ulp contract
     with np.errstate(all="ignore"):
-        out = np.power(a, b)
+        if np.ndim(b) == 0 and b % 1 == 0 and b not in (-1, 0, 1, 2):
+            out = np.power(np.abs(a), b)
+            if b % 2:
+                out = np.copysign(out, a)
+        else:
+            out = np.power(a, b)
+    # reject results that leave the reals (negative base, fractional exponent)
     if not np.all(np.isfinite(out)):
         raise ExpressionDomainError("power produced a non-finite value")
     return out

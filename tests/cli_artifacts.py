@@ -1,26 +1,33 @@
-"""Write the artifacts of every CLI mode for the scenario sources of the tests.
+"""Write the artifacts of every CLI mode for the scenario sources of the tests,
+and report how far two such sets of artifacts are apart.
 
     PYTHONPATH=<checkout>/src python tests/cli_artifacts.py OUT
+    python tests/cli_artifacts.py compare BASE HEAD
 
-runs simulate, certify, oracle-compare, experiments and sweep (seed 7) on
-each ``*_SRC`` scenario of ``tests/test_cli.py`` and on the README's
-scenario file, with whichever ``transportlab`` the path imports.  Each run's
-artifacts land in ``OUT/<source>/<mode>/`` next to ``<mode>.out``, its exit
-status and stdout.  Run it once per checkout and compare the two directories
-(``diff -r``) to see which artifacts a change moved.  The sources are read
-from the files, not imported, so a test module of one checkout can drive
-another checkout's package.
+The first form runs simulate, certify, oracle-compare, experiments and sweep
+(seed 7) on each ``*_SRC`` scenario of ``tests/test_cli.py`` and on the
+README's scenario file, with whichever ``transportlab`` the path imports.
+Each run's artifacts land in ``OUT/<source>/<mode>/`` next to
+``<mode>.out``, its exit status and stdout.  Run it once per checkout.  The
+sources are read from the files, not imported, so a test module of one
+checkout can drive another checkout's package.
+
+The second form prints, for each artifact that differs between the two
+directories, how many of its values differ (CSV cells, JSON leaves, lines of
+a ``.out``), the largest absolute and relative change among the numeric
+ones, and every exit status or verdict (``passed``) that differs.
 """
 
 import ast
 import contextlib
+import csv
 import io
+import json
+import math
 import os
 import re
 import sys
 from pathlib import Path
-
-from transportlab import cli
 
 TESTS = Path(__file__).resolve().parent
 MODES = ("simulate", "certify", "oracle-compare", "experiments", "sweep")
@@ -38,6 +45,8 @@ def sources() -> dict:
 
 
 def write_artifacts(out: str):
+    from transportlab import cli  # the one import of the package, so compare runs without it
+
     os.makedirs(out, exist_ok=True)
     os.chdir(out)  # relative paths, so the printed paths match across checkouts
     for name, src in sources().items():
@@ -52,5 +61,90 @@ def write_artifacts(out: str):
             Path(name, f"{mode}.out").write_text(f"exit {status}\n{stdout.getvalue()}")
 
 
+VERDICTS = ("exit", "verdict", "passed")
+
+
+def _flatten(value, key=()):
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _flatten(v, key + (k,))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _flatten(v, key + (i,))
+    else:
+        yield key, json.dumps(value)
+
+
+def _values(path: Path) -> dict:
+    """An artifact's values as text, keyed so that the last part of a key
+    names a verdict where it is one: CSV cells by row and column name, JSON
+    leaves by their path, and the lines of a ``.out`` by number, or by
+    ``exit`` and ``verdict``."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = csv.reader(io.StringIO(text))
+        return {(i, name): cell for i, row in enumerate(rows)
+                for name, cell in zip(header, row)}
+    if path.suffix == ".json":
+        return dict(_flatten(json.loads(text)))
+    out = {}
+    for i, line in enumerate(text.splitlines()):
+        head, _, rest = line.partition(" ")
+        if head.rstrip(":") in VERDICTS:
+            out[(head.rstrip(":"),)] = rest
+        else:
+            out[(i,)] = line
+    return out
+
+
+def _number(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _gap(a: float, b: float) -> tuple:
+    """Absolute and relative change; both inf where either side is not finite."""
+    d = abs(a - b)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return d, d / max(abs(a), abs(b)) if d else 0.0
+
+
+def _change(name: str, base: Path, head: Path) -> str:
+    old, new = _values(base), _values(head)
+    keys = sorted(set(old) | set(new), key=str)
+    moved = [k for k in keys if old.get(k) != new.get(k)]
+    line = f"{name}: {len(moved)} of {len(keys)} values differ"
+    gaps = [_gap(a, b) for a, b in ((_number(old.get(k, "")), _number(new.get(k, "")))
+                                    for k in moved if k[-1] not in VERDICTS)
+            if a is not None and b is not None]
+    if gaps:
+        absolute, relative = (max(g) for g in zip(*gaps))
+        line += f"; largest change {absolute:.3g} absolute, {relative:.3g} relative"
+    for k in moved:
+        if k[-1] in VERDICTS:
+            line += f"\n  {'/'.join(map(str, k))}: {old.get(k)} -> {new.get(k)}"
+    return line
+
+
+def compare(base: str, head: str) -> list:
+    """One report line per artifact that differs between two output trees."""
+    names = {str(p.relative_to(root)) for root in (Path(base), Path(head))
+             for p in root.rglob("*") if p.is_file()}
+    report = []
+    for name in sorted(names):
+        b, h = Path(base, name), Path(head, name)
+        if not (b.exists() and h.exists()):
+            report.append(f"{name}: only in {'head' if h.exists() else 'base'}")
+        elif b.read_bytes() != h.read_bytes():
+            report.append(_change(name, b, h))
+    return report or ["no artifact differs"]
+
+
 if __name__ == "__main__":
-    write_artifacts(sys.argv[1])
+    if sys.argv[1] == "compare":
+        print("\n".join(compare(sys.argv[2], sys.argv[3])))
+    else:
+        write_artifacts(sys.argv[1])

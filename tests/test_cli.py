@@ -619,3 +619,29 @@ def test_hostile_files_reach_one_defined_outcome(src, mode):
         if rc == 0 and mode == "simulate":
             _, rows = read_csv(os.path.join(out, "hostile_field.csv"))
             assert np.isfinite(np.array(rows, dtype=float)).all()
+
+
+def test_artifact_compare_reports_how_far_values_moved(tmp_path):
+    import cli_artifacts
+
+    base, head = tmp_path / "base", tmp_path / "head"
+    files = {"s/simulate/f.csv": ("t,x,rho\n0.0,0.0,1.0\n0.0,0.5,2.0\n",
+                                  "t,x,rho\n0.0,0.0,1.0000000000000002\n0.0,0.5,-0.0\n"),
+             "s/sweep/w.csv": ("index,passed\n0,1\n", "index,passed\n0,0\n"),
+             "s/certify/c.json": ('{"passed": true, "m": [0.5, 1]}',
+                                  '{"passed": true, "m": [0.5, 1.5]}'),
+             "s/certify.out": ("exit 0\nverdict: pass\n", "exit 1\nverdict: fail\n"),
+             "s/same.txt": ("a\n", "a\n")}
+    for name, texts in files.items():
+        for root, text in zip((base, head), texts):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+    (base / "s/gone.out").write_text("exit 0\n")
+    assert cli_artifacts.compare(str(base), str(head)) == [
+        "s/certify.out: 2 of 2 values differ\n  exit: 0 -> 1\n  verdict: pass -> fail",
+        "s/certify/c.json: 1 of 3 values differ; largest change 0.5 absolute, 0.333 relative",
+        "s/gone.out: only in base",
+        "s/simulate/f.csv: 2 of 6 values differ; largest change 2 absolute, 1 relative",
+        "s/sweep/w.csv: 1 of 2 values differ\n  0/passed: 1 -> 0",
+    ]
+    assert cli_artifacts.compare(str(base), str(base)) == ["no artifact differs"]

@@ -205,6 +205,10 @@ _X, _T = expr.Var("x"), expr.Var("t")
 @example(_call("max", _T, _X), 1.0, math.nan)
 @example(_call("min", _T, _X), 0.0, -0.0)
 @example(_call("max", _T, _X), -0.0, 0.0)
+@example(expr.BinOp("^", _X, expr.Num(3.0)), 0.0, -0.7)
+@example(expr.BinOp("^", _X, expr.Num(-3.0)), 0.0, -0.0)
+@example(expr.BinOp("^", _X, expr.Num(4.0)), 0.0, -math.inf)
+@example(expr.BinOp("^", _X, _T), 3.0, -2.0)
 def test_float_function_matches_numpy_function(root, t, x):
     e = expr.Expression(root, expr._fmt(root), frozenset({"t", "x"}))
     with np.errstate(all="ignore"):
@@ -217,6 +221,64 @@ def test_float_function_matches_numpy_function(root, t, x):
         assert struct.pack("<d", got) == struct.pack("<d", want)
     else:
         assert math.isclose(got, want, rel_tol=1e-13)
+
+
+# --- the numpy function's power rule ----------------------------------------
+
+# appended to every drawn base array: signed zeros, infinities, NaN, subnormals
+_SPECIAL_BASES = [0.0, -0.0, math.inf, -math.inf, math.nan,
+                  5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308]
+
+
+def _np_power(a, n):
+    """``^`` as plain ``np.power`` with the evaluator's non-finite check."""
+    with np.errstate(all="ignore"):
+        out = np.power(a, n)
+    if not np.all(np.isfinite(out)):
+        raise ExpressionDomainError("power produced a non-finite value")
+    return out
+
+
+def _power_error(fn, a):
+    try:
+        fn(a)
+    except ExpressionDomainError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats()), max_size=30),
+       st.one_of(st.integers(-6, 6).map(float),
+                 st.sampled_from([0.5, 2.5, -1.5, 1e300])))
+def test_numpy_power_rule(drawn, n):
+    root = expr.BinOp("^", _X, expr.Num(n))
+    e = expr.Expression(root, expr._fmt(root), frozenset({"x"}))
+    a = np.array(drawn + _SPECIAL_BASES)
+    rng = np.random.default_rng(len(drawn))
+    a = a[rng.permutation(a.size)]  # specials anywhere in the array
+    # an error on exactly the same inputs, with one message: the whole array,
+    # then each base alone as a Python float
+    for base in [a] + a.tolist():
+        assert _power_error(lambda a: e(x=a), base) == \
+            _power_error(lambda a: _np_power(a, n), base)
+    with np.errstate(all="ignore"):
+        finite = a[np.isfinite(np.power(a, n))]
+    got = e(x=finite).view(np.int64)
+    want = np.power(finite, n).view(np.int64)
+    nonneg = finite >= 0  # -0.0 too
+    assert np.array_equal(got[nonneg], want[nonneg])
+    ulps = np.abs(got[~nonneg] - want[~nonneg])
+    if n in (-1.0, 0.0, 1.0, 2.0) or n % 1:
+        assert not ulps.any()  # np.power's own bits
+    else:
+        assert np.all(ulps <= 1)
+
+
+def test_array_exponents_are_np_power():
+    e = parse("x^t")
+    x = np.linspace(-1.0, 1.0, 2001)  # 45 of these move under |x|^3
+    t = np.full_like(x, 3.0)
+    assert np.array_equal(e(t=t, x=x).view(np.int64), np.power(x, t).view(np.int64))
 
 
 def test_float_function_takes_t_and_x_only():

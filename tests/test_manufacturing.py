@@ -222,6 +222,26 @@ def test_certificates_on_a_time_varying_run():
     assert all(c.passed and c.all_valid for c in certs)
 
 
+def test_integral_powers_of_a_negative_inflow_agree_with_np_power():
+    # sin(2t) < 0 on (pi/2, pi): the numpy function's |a|^3 rule meets
+    # negative bases at the inflow feet of every fixed-point iteration there
+    bc, beta, gamma = 0.05, 0.1, 2.0
+    rho0 = InitialProfile.from_expression(f"{math.exp(bc)!r}*exp(0.2*x^2*(3 - 2*x))")
+    runs = []
+    for b in (BoundarySignal.from_expression(f"{bc!r} + {beta!r}*sin({gamma!r}*t)^3"),
+              BoundarySignal(lambda t: bc + beta * np.power(np.sin(gamma * t), 3.0))):
+        sc = ProductionScenario(1.0, rho0, b, "1/(1 + W)", 3.0)
+        run = simulate_closed_loop(sc, 3.0, Grid(201, 5e-3, 3.0))
+        certs = certify(manufacturing_run(run), "E3.6", [2, INF], [0.5])
+        runs.append((run, envelope_check(run).ok, [c.passed for c in certs]))
+    (got, got_env, got_passed), (want, want_env, want_passed) = runs
+    assert np.mean(np.sin(gamma * got.times) < 0) > 0.4
+    assert got_env == want_env and got_passed == want_passed
+    for k in ("w_trace", "v_values"):
+        np.testing.assert_allclose(getattr(got, k), getattr(want, k), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got.rho.values, want.rho.values, rtol=1e-14, atol=0)
+
+
 @pytest.mark.parametrize("nx", [101, 100])
 def test_manufacturing_run_reads_the_coarse_density_of_the_simulation(monkeypatch, nx):
     sc = scenario(rho0="1 + 0.2*x^2*(3 - 2*x)", b="0.05*sin(2*t)^3", horizon=1.0)
