@@ -204,9 +204,11 @@ def transport_run(problem: TransportProblem, grid: Grid) -> TrajectoryRun:
 
 def continuity_run(rho_s: float, rho0: InitialProfile, b: BoundarySignal,
                    v: VelocityField, grid: Grid) -> TrajectoryRun:
-    """The transport run of the log state; its source -dv/dx drives the gain."""
+    """The transport run of the log state; its source -dv/dx drives the gain.
+    rho0 is checked on the nodes of both grids, as a solve of each would."""
     problem = log_state_problem(rho_s, rho0, b, v)
-    rho0.validate_positive(grid.xs)
+    for g in (grid, grid.coarsened_space()):
+        rho0.validate_positive(g.xs)
     run = transport_run(problem, grid)
     run.kind, run.rho_s = "continuity", rho_s
     return run

@@ -238,9 +238,6 @@ class CharacteristicEngine:
             lambda q: self.flow(0.0, q, t).end_x if q <= 1.0 else np.inf,
             lambda q: self._march(0.0, q, t), increasing=True, what="x0"))
 
-    def backtrace_x0_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.backtrace_x0(t, x) for x in np.asarray(xs, dtype=float)])
-
     def backtrace_t0(self, t: float, x: float) -> float:
         """Boundary emission time of the point (t, x) on the boundary-determined side."""
         r0 = self.separatrix().at(t)
@@ -255,9 +252,6 @@ class CharacteristicEngine:
             self._reverse_seed_t0(t, x, lower), x, lower, t,
             lambda q: self.flow(q, 0.0, t).end_x,
             lambda q: self._march(q, 0.0, t), increasing=False, what="t0"))
-
-    def backtrace_t0_batch(self, t: float, xs: np.ndarray) -> np.ndarray:
-        return np.array([self.backtrace_t0(t, x) for x in np.asarray(xs, dtype=float)])
 
     @staticmethod
     def _invert(seed, x, lo_full, hi_full, flow_end, propagate, increasing, what):

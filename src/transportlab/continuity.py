@@ -65,8 +65,7 @@ def density(rho_s: float, w: SolutionField) -> SolutionField:
     with np.errstate(over="ignore"):  # check_finite rejects an overflow
         rho = np.exp(w.values, out=w.values)
         rho *= rho_s
-    return SolutionField(grid=w.grid, times=w.times, xs=w.xs, values=rho,
-                         kind="rho", component="full")
+    return SolutionField(grid=w.grid, values=rho, kind="rho")
 
 
 def equilibrium_profile(rho_s: float, b_const: float,

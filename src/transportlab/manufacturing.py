@@ -180,30 +180,29 @@ def terminal_time(scenario: ProductionScenario) -> float:
     return 1.0 / scenario.vmin
 
 
+def _state_factor(scenario: ProductionScenario) -> float:
+    """l_state + l_btilde/vmin, with l_state = max(l_rho0, l_btilde/vmin):
+    the factor of l_lambda in the contraction bound per unit window length."""
+    l_state = max(scenario.l_rho0, scenario.l_btilde / scenario.vmin)
+    return l_state + scenario.l_btilde / scenario.vmin
+
+
 def contraction_window(scenario: ProductionScenario) -> float:
     """Longest window on which the induced-speed map is a guaranteed contraction."""
-    l_state = max(scenario.l_rho0, scenario.l_btilde / scenario.vmin)
-    return 1.0 / (1.0 + scenario.l_lambda *
-                  (l_state + scenario.l_btilde / scenario.vmin))
+    return 1.0 / (1.0 + scenario.l_lambda * _state_factor(scenario))
 
 
 @dataclass
 class FixedPointReport:
-    """Convergence record of one window's induced-speed iteration."""
+    """Convergence record of one window's induced-speed iteration; the
+    constants of its bound are the scenario's."""
 
     window: Tuple[float, float]
-    window_length: float
-    window_limit: float          # longest admissible length for this scenario
+    window_limit: float          # contraction_window(scenario)
     iterations: int
     residual: float              # last sup-distance between successive iterates
     contraction_observed: float  # max ratio of successive residuals above rounding
-    contraction_bound: float     # window_length * l_lambda * (l_state + l_btilde/vmin)
-    l_lambda: float
-    l_rho0: float
-    l_btilde: float
-    l_state: float
-    vmin: float
-    vmax: float
+    contraction_bound: float     # window length * l_lambda * _state_factor(scenario)
     v_start: float
 
 
@@ -252,7 +251,6 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
         raise ManufacturingError(
             f"window of length {length:.6g} exceeds the contraction limit "
             f"{limit:.6g}")
-    l_state = max(scenario.l_rho0, scenario.l_btilde / scenario.vmin)
 
     w_now = float(np.trapezoid(np.asarray(rho_fn(xs), dtype=float) *
                                np.ones_like(xs), xs))
@@ -282,14 +280,11 @@ def _solve_window(scenario: ProductionScenario, rho_fn: Callable,
     w_trace = np.trapezoid(rows, xs, axis=1)
 
     report = FixedPointReport(
-        window=(t_a, t_b), window_length=length, window_limit=limit,
+        window=(t_a, t_b), window_limit=limit,
         iterations=len(residuals), residual=residuals[-1],
         contraction_observed=_observed_factor(residuals, scenario.vmax),
-        contraction_bound=length * scenario.l_lambda *
-        (l_state + scenario.l_btilde / scenario.vmin),
-        l_lambda=scenario.l_lambda, l_rho0=scenario.l_rho0,
-        l_btilde=scenario.l_btilde, l_state=l_state,
-        vmin=scenario.vmin, vmax=scenario.vmax, v_start=v_start)
+        contraction_bound=length * scenario.l_lambda * _state_factor(scenario),
+        v_start=v_start)
     return v, V, w_trace, report
 
 
@@ -364,7 +359,8 @@ class _SampledVelocity(VelocityField):
 
 @dataclass
 class ClosedLoopRun:
-    """Everything one closed-loop simulation produced."""
+    """What one closed-loop simulation produced; the window limit and the
+    speed range are the scenario's (``contraction_window``, ``vmin``, ``vmax``)."""
 
     scenario: ProductionScenario
     grid: Grid
@@ -372,16 +368,11 @@ class ClosedLoopRun:
     rho_coarse: SolutionField    # density on grid.coarsened_space(), unchecked
     w_trace: np.ndarray          # inventory of the solved density
     u_trace: np.ndarray          # inflow flux the controller commands
-    v_times: np.ndarray
-    v_values: np.ndarray
+    v_values: np.ndarray         # belt speed at each of ``times``
     velocity: VelocityField
     windows: List[FixedPointReport]
-    w_internal: np.ndarray       # inventory as seen inside the fixed point
-    consistency_max: float       # sup |w_internal - w_trace|
+    consistency_max: float       # sup |inventory inside the fixed point - w_trace|
     terminal: float              # flush deadline from the slowest speed
-    window_limit: float
-    vmin: float
-    vmax: float
 
     @property
     def times(self) -> np.ndarray:
@@ -444,11 +435,9 @@ def simulate_closed_loop(scenario: ProductionScenario, horizon: float,
 
     return ClosedLoopRun(
         scenario=scenario, grid=run_grid, rho=rho, rho_coarse=rho_coarse,
-        w_trace=w_trace,
-        u_trace=u_trace, v_times=times, v_values=v_values, velocity=velocity,
-        windows=windows, w_internal=w_internal, consistency_max=consistency,
-        terminal=terminal_time(scenario), window_limit=limit,
-        vmin=scenario.vmin, vmax=scenario.vmax)
+        w_trace=w_trace, u_trace=u_trace, v_values=v_values, velocity=velocity,
+        windows=windows, consistency_max=consistency,
+        terminal=terminal_time(scenario))
 
 
 @dataclass

@@ -51,7 +51,4 @@ def upwind_solve(problem: TransportProblem, grid: Grid) -> SolutionField:
             w[n + 1, 1:] = (row[1:]
                             - lam * v_rows[n, 1:] * (row[1:] - row[:-1])
                             + grid.dt * (a_row[1:] * row[1:] + f_row[1:]))
-    return SolutionField(
-        grid=grid, times=times, xs=xs, values=w,
-        kind="w", component="full",
-    )
+    return SolutionField(grid=grid, values=w, kind="w")

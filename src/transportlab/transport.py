@@ -33,6 +33,9 @@ interpolates the block's rows in one pass, bitwise as np.interp per row.
 certificate's grid and its coarsened grid: the fan's initial members sit at
 the union of their nodes, and each grid interpolates from its own members,
 so each field is bit for bit the one a solve of its own gives.
+``decompose`` splits a solution into its responses to b, phi and f: each
+part solves a copy of the problem whose other two data are zero, so the
+solver has no switch for leaving a datum out.
 
 Nodes lying exactly on a jump locus (the separatrix included) take the
 left-limit value, matching the left-continuity convention for piecewise
@@ -44,7 +47,7 @@ not finite raises ``FieldValidationError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -56,6 +59,7 @@ from .fields import (
     FieldValidationError,
     Grid,
     InitialProfile,
+    SpaceTimeField,
     TransportCoefficients,
     VelocityField,
 )
@@ -103,20 +107,24 @@ class TransportProblem:
 
 @dataclass
 class SolutionField:
-    """State sampled on the full space-time grid.
+    """State sampled on the full space-time grid: ``values[k, i]`` is the
+    state at ``grid.times[k]`` and ``grid.xs[i]``.
 
-    ``kind`` is "w" for transport state or "rho" for densities; ``component``
-    tags full solutions versus the parts of a superposition split
-    (boundary_only / initial_only / source_only).  It holds no separatrix or
-    jump loci; ``CharacteristicEngine(v, grid)`` provides them.
+    ``kind`` is "w" for transport state or "rho" for densities.  It holds no
+    separatrix or jump loci; ``CharacteristicEngine(v, grid)`` provides them.
     """
 
     grid: Grid
-    times: np.ndarray
-    xs: np.ndarray
-    values: np.ndarray  # shape (len(times), len(xs))
+    values: np.ndarray  # shape (nt + 1, nx)
     kind: str
-    component: str
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.grid.times
+
+    @property
+    def xs(self) -> np.ndarray:
+        return self.grid.xs
 
     def check_finite(self) -> "SolutionField":
         """Raise FieldValidationError naming the first node, row by row, whose
@@ -242,10 +250,8 @@ class _Fan:
     per row, the rest on (rows, nodes) arrays.
     """
 
-    def __init__(self, problem: TransportProblem, grids: list,
-                 include_phi: bool, include_b: bool, include_f: bool):
+    def __init__(self, problem: TransportProblem, grids: list):
         self.problem = problem
-        self.include_f = include_f
         self.times, self.h = grids[0].times, grids[0].dt
         K = len(self.times) - 1
         self.K = K
@@ -265,13 +271,11 @@ class _Fan:
 
         # initial members
         self.X[K + 1:] = feet
-        if include_phi:
-            self.w0[K + 1:] = np.asarray(problem.phi(feet), dtype=float)
+        self.w0[K + 1:] = np.asarray(problem.phi(feet), dtype=float)
         # boundary member injected at t = 0, and the data of the one injected
         # by each step k, member K - 1 - k, at the step's end time
-        if include_b:
-            self.w0[K] = float(problem.b(0.0))
-            self.w0[K - 1::-1] = problem.b(self.times[:-1] + self.h)
+        self.w0[K] = float(problem.b(0.0))
+        self.w0[K - 1::-1] = problem.b(self.times[:-1] + self.h)
 
         self._latest = np.zeros((2, M))  # a and f of the latest row, by member
         x = np.clip(self.X[K:], 0.0, 1.0)
@@ -322,11 +326,9 @@ class _Fan:
 
         A = self._integrated(self.A[L:S], a, h, idle)
         self.A[L:S] = A[-1]
-        Fq = self.Fq[L:S]
-        if self.include_f:
-            f *= np.exp(-A)
-            Fq = self._integrated(Fq, f, h, idle)[1:]
-            self.Fq[L:S] = Fq[-1]
+        f *= np.exp(-A)
+        Fq = self._integrated(self.Fq[L:S], f, h, idle)[1:]
+        self.Fq[L:S] = Fq[-1]
         del rows, a, f
         w = np.exp(A[1:])
         w *= self.w0[L:S] + Fq
@@ -391,19 +393,13 @@ class _Fan:
         np.copyto(out, fj, where=(j == end) | (xs == xj))
 
 
-def solve_field(problem: TransportProblem, grid: Grid,
-                component: str = "full",
-                include_phi: bool = True, include_b: bool = True,
-                include_f: bool = True) -> SolutionField:
+def solve_field(problem: TransportProblem, grid: Grid) -> SolutionField:
     """Solve on the whole grid; see the module docstring for the method."""
-    (w,) = solve_fields(problem, [grid], component, include_phi, include_b, include_f)
+    (w,) = solve_fields(problem, [grid])
     return w.check_finite()
 
 
-def solve_fields(problem: TransportProblem, grids: list,
-                 component: str = "full",
-                 include_phi: bool = True, include_b: bool = True,
-                 include_f: bool = True) -> list[SolutionField]:
+def solve_fields(problem: TransportProblem, grids: list) -> list[SolutionField]:
     """``solve_field`` on each of ``grids``, which share their times, from
     one fan.  Each grid is validated, in order, before the fan starts.  Each
     field is bit for bit the one ``solve_field`` gives on its grid, but
@@ -414,28 +410,29 @@ def solve_fields(problem: TransportProblem, grids: list,
         raise ValueError("the grids of one fan must share their times")
     for g in grids:
         problem.validate(g)
-    fan = _Fan(problem, grids, include_phi, include_b, include_f)
+    fan = _Fan(problem, grids)
     values = [np.empty((len(times), g.nx)) for g in grids]
     fan.first_row([v[0] for v in values])
     for k in range(0, len(times) - 1, ROW_BLOCK):
         fan.advance(k, [v[k + 1:k + 1 + ROW_BLOCK] for v in values])
-    return [SolutionField(grid=g, times=g.times, xs=g.xs, values=v,
-                          kind="w", component=component)
-            for g, v in zip(grids, values)]
+    return [SolutionField(grid=g, values=v, kind="w") for g, v in zip(grids, values)]
 
 
 def decompose(problem: TransportProblem, grid: Grid
               ) -> tuple[SolutionField, SolutionField, SolutionField]:
-    """Split into boundary-only, initial-only, and source-only responses.
+    """The responses to the boundary data, the initial data and the source,
+    returned in that order.
 
-    Each part is an independent solve with the other data zeroed; because all
-    three ride the same characteristic fan, their pointwise sum reproduces
-    the full solution to rounding.
+    Each part solves a copy of the problem with the other two data set to
+    zero; the zero phi keeps its jump points, so all three parts ride the
+    same characteristic fan and their pointwise sum reproduces the full
+    solution to rounding.
     """
-    w_boundary = solve_field(problem, grid, component="boundary_only",
-                             include_phi=False, include_b=True, include_f=False)
-    w_initial = solve_field(problem, grid, component="initial_only",
-                            include_phi=True, include_b=False, include_f=False)
-    w_source = solve_field(problem, grid, component="source_only",
-                           include_phi=False, include_b=False, include_f=True)
-    return w_boundary, w_initial, w_source
+    zero_phi = InitialProfile(np.zeros_like, problem.phi.jump_points)
+    zero_b, zero_f = BoundarySignal.constant(0.0), SpaceTimeField.zero()
+    parts = [(zero_phi, problem.b, zero_f),
+             (problem.phi, zero_b, zero_f),
+             (zero_phi, zero_b, problem.coeffs.f)]
+    return tuple(solve_field(replace(problem, phi=phi, b=b,
+                                     coeffs=replace(problem.coeffs, f=f)), grid)
+                 for phi, b, f in parts)

@@ -11,12 +11,14 @@ expression speed through its numpy function at Python floats too, as the
 scalar RK4 steps did before they read its float function.  ``field_lines``
 and ``cert_lines`` are the CLI's CSV writers as they formatted one value at
 a time, before they formatted a row or a certificate at a time.
-``two_solves``, ``transport_run``, ``continuity_run`` and
+``zeroed`` is a problem with some of its data set to zero, as ``decompose``
+solves them.  ``two_solves``, ``transport_run``, ``continuity_run`` and
 ``manufacturing_run`` solve a certificate's coarse grid with a fan of its
 own, as they did before one fan served both grids.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from transportlab.bounds import TrajectoryRun, boundary_coefficient, mu_is_valid
 from transportlab.characteristics import rk4_step
 from transportlab.cli import _fmt_p
 from transportlab.continuity import log_state_problem, solve_continuity
-from transportlab.fields import VelocityField
+from transportlab.fields import (BoundarySignal, InitialProfile, SpaceTimeField,
+                                 VelocityField)
 from transportlab.norms import Extremals, heaviside_h
 from transportlab.transport import solve_field
 
@@ -252,10 +255,21 @@ def fan_values(problem, grid, include_phi=True, include_b=True, include_f=True):
     return values
 
 
-def two_solves(problem, grid, include_phi=True, include_b=True, include_f=True):
+def zeroed(problem, include_phi=True, include_b=True, include_f=True):
+    """A copy of the problem whose data left out are zero; a zero phi keeps
+    its jump points."""
+    return replace(
+        problem,
+        phi=problem.phi if include_phi else InitialProfile(np.zeros_like,
+                                                           problem.phi.jump_points),
+        b=problem.b if include_b else BoundarySignal.constant(0.0),
+        coeffs=replace(problem.coeffs,
+                       f=problem.coeffs.f if include_f else SpaceTimeField.zero()))
+
+
+def two_solves(problem, grid):
     """The fields on the grid and on its coarsened grid, one solve each."""
-    return [solve_field(problem, g, "full", include_phi, include_b, include_f)
-            for g in (grid, grid.coarsened_space())]
+    return [solve_field(problem, g) for g in (grid, grid.coarsened_space())]
 
 
 def transport_run(problem, grid):
@@ -272,7 +286,8 @@ def transport_run(problem, grid):
 def continuity_run(rho_s, rho0, b, v, grid):
     """``bounds.continuity_run`` over the two-solve ``transport_run``."""
     problem = log_state_problem(rho_s, rho0, b, v)
-    rho0.validate_positive(grid.xs)
+    for g in (grid, grid.coarsened_space()):
+        rho0.validate_positive(g.xs)
     run = transport_run(problem, grid)
     run.kind, run.rho_s = "continuity", rho_s
     return run

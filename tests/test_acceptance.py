@@ -52,12 +52,12 @@ def test_criterion_01_characteristic_exactness_constant_speed():
                 assert np.max(np.abs(path.x_values - exact)) <= 1e-10
         r0 = vs * t_q                       # separatrix position
         above = np.array([r0 + 0.25, min(r0 + 0.45, 0.98)])
-        feet = engine.backtrace_x0_batch(t_q, above)
+        feet = np.array([engine.backtrace_x0(t_q, x) for x in above])
         assert np.max(np.abs(feet - (above - vs * t_q))) <= 1e-10
         for foot, x in zip(feet, above):    # forward-recovery residual
             assert abs(engine.flow(0.0, foot, t_q).end_x - x) <= 1e-10
         below = np.array([0.3 * r0, 0.7 * r0])
-        emitted = engine.backtrace_t0_batch(t_q, below)
+        emitted = np.array([engine.backtrace_t0(t_q, x) for x in below])
         assert np.max(np.abs(emitted - (t_q - below / vs))) <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0

@@ -42,7 +42,7 @@ def hand_run(kind, grid, b, phi=0.0, ext=None, r=None):
     """A run with zero state, zero source and constant b and phi, built
     without a solve; ext defaults to the extremals of v = 1."""
     zeros = np.zeros((grid.nt + 1, grid.nx))
-    state = SolutionField(grid, grid.times, grid.xs, zeros, "w", "full")
+    state = SolutionField(grid, zeros, "w")
     if ext is None and kind != "manufacturing":
         ext = extremals(VelocityField.from_expression("1"), grid)
     return TrajectoryRun(

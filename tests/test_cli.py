@@ -66,6 +66,20 @@ p = 2, inf
 mu = 0.3
 """
 
+# rho0 vanishes at x = 0.5, a node of the coarse grid (nx = 21) only
+COARSE_ZERO_CONTINUITY_SRC = """\
+problem = continuity
+v = "1"
+rho0 = "abs(x - 0.5)"
+b = "-0.6931471805599453"   # ln(0.5), so the corner matches
+nx = 40
+dt = 0.01
+horizon = 0.5
+estimates = E2.4
+p = 2
+mu = 0.3
+"""
+
 MANUFACTURING_SRC = """\
 problem = manufacturing
 rho_s = 1.0
@@ -237,6 +251,16 @@ def test_certify_on_an_even_grid_passes_with_field_norms(tmp_path):
     report = json.loads((tmp_path / "even_cert.json").read_text())
     assert report["passed"] is True
     assert [v["estimate"] for v in report["verdicts"]] == ["E2.4", "E2.5"]
+
+
+def test_certify_checks_the_initial_density_on_the_coarse_nodes(tmp_path, capsys):
+    path = write(tmp_path, "zero.txt", COARSE_ZERO_CONTINUITY_SRC)
+    assert cli.main(["run", path, "--mode", "simulate", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "FieldValidationError",
+        "messages": ["initial density must be positive on the grid"]}
 
 
 def _two_solve_run(sc):
@@ -599,8 +623,9 @@ def _hostile_files(draw):
     return "\n".join(_DATA[problem] + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
 
 
-@settings(max_examples=80, deadline=None)
-@given(_hostile_files(), st.sampled_from(["certify", "simulate"]))
+@settings(max_examples=200, deadline=None)
+@given(_hostile_files(), st.sampled_from(
+    ["certify", "simulate", "oracle-compare", "experiments", "sweep"]))
 def test_hostile_files_reach_one_defined_outcome(src, mode):
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "hostile.txt")
@@ -613,7 +638,10 @@ def test_hostile_files_reach_one_defined_outcome(src, mode):
         assert "Traceback" not in stderr.getvalue()
         if rc == 2:
             assert "error" in json.loads(stdout.getvalue().splitlines()[-1])
-        if rc == 1:
+        if rc == 1 and mode == "sweep":
+            _, rows = read_csv(os.path.join(out, "hostile_sweep.csv"))
+            assert "0" in [row[4] for row in rows]
+        elif rc == 1:  # else only a certificate can fail
             with open(os.path.join(out, "hostile_cert.json")) as fh:
                 assert json.load(fh)["passed"] is False
         if rc == 0 and mode == "simulate":

@@ -83,7 +83,7 @@ def test_initial_row_and_corner():
     assert w.values[0, 0] == pytest.approx(5.0, abs=1e-14)
     assert np.max(np.abs(w.values[0, 1:] - (1.0 + grid.xs[1:]))) < 1e-14
     assert w.kind == "w"
-    assert w.component == "full"
+    assert w.times is grid.times and w.xs is grid.xs
     assert w.values.shape == (grid.nt + 1, grid.nx)
     assert CharacteristicEngine(prob.v, grid).separatrix() is not None
 
@@ -102,8 +102,6 @@ def test_superposition_identity():
     prob = problem_of(**SMOOTH)
     full = solve_field(prob, grid)
     w_b, w_i, w_s = decompose(prob, grid)
-    assert (w_b.component, w_i.component, w_s.component) == (
-        "boundary_only", "initial_only", "source_only")
     recombined = w_b.values + w_i.values + w_s.values
     assert np.max(np.abs(full.values - recombined)) < 1e-9
 
@@ -119,6 +117,18 @@ def test_decompose_parts_solve_their_own_data():
     behind = grid.xs < r0 - 0.02
     assert np.max(np.abs(w_b.final_row[ahead])) < 1e-14
     assert np.max(np.abs(w_i.final_row[behind])) < 1e-14
+
+
+@pytest.mark.parametrize("data", [dict(phi="1", b="1", a="-800"), dict(v="x - 0.5")],
+                         ids=["overflowing-a", "negative-v"])
+def test_decompose_raises_the_error_of_the_full_solve(data):
+    # the boundary part, solved first, keeps the problem's b, v and a
+    grid = Grid(41, 0.01, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(FieldValidationError) as full:
+        solve_field(problem_of(**data), grid)
+    with np.errstate(all="ignore"), pytest.raises(FieldValidationError) as parts:
+        decompose(problem_of(**data), grid)
+    assert str(parts.value) == str(full.value)
 
 
 def test_solve_point_matches_field():
@@ -471,8 +481,9 @@ def test_one_fan_gives_each_grid_the_field_of_its_own_solve(nx, speed):
         prob.v = sampled_velocity(FAN_TIMES, 1.2 + 0.3 * np.cos(4.0 * FAN_TIMES))
     grids = [grid, grid.coarsened_space()]
     for flags in FLAGS:
-        shared = solve_fields(prob, grids, "full", *flags)
-        for field, alone, g in zip(shared, reference_forms.two_solves(prob, grid, *flags), grids):
+        part = reference_forms.zeroed(prob, *flags)
+        shared = solve_fields(part, grids)
+        for field, alone, g in zip(shared, reference_forms.two_solves(part, grid), grids):
             assert field.grid == g and field.times is g.times and field.xs is g.xs
             assert np.array_equal(field.values, alone.values)
 
