@@ -122,11 +122,17 @@ def _mode_certify(sc: Scenario, out: str) -> Tuple[List[str], bool]:
     return [csv_path, json_path], passed
 
 
-def _oracle_problem(sc: Scenario):
+def _oracle_problem(sc: Scenario, nxs: Tuple[int, ...]):
+    """The problem to solve on grids of ``nxs`` nodes; a continuity file's
+    rho0 is checked on the nodes of each, as certify checks it."""
     if sc.problem == "transport":
         return transport_problem(sc)
     if sc.problem == "continuity":
-        return log_state_problem(sc.rho_s, *continuity_data(sc))
+        rho0, b, v = continuity_data(sc)
+        problem = log_state_problem(sc.rho_s, rho0, b, v)
+        for nx in nxs:
+            rho0.validate_positive(np.linspace(0.0, 1.0, nx))
+        return problem
     raise ScenarioError(["oracle-compare applies to transport and "
                          "continuity scenarios"])
 
@@ -140,7 +146,8 @@ def _cfl_grid(problem, nx: int, horizon: float, cfl: float = 0.5) -> Grid:
 
 
 def _mode_oracle(sc: Scenario, out: str) -> Tuple[List[str], bool]:
-    problem = _oracle_problem(sc)
+    nx2 = 2 * sc.nx - 1
+    problem = _oracle_problem(sc, (sc.nx, nx2))
     grid = _cfl_grid(problem, sc.nx, sc.horizon)
     char = solve_field(problem, grid)
     ora = upwind_solve(problem, grid)
@@ -152,7 +159,6 @@ def _mode_oracle(sc: Scenario, out: str) -> Tuple[List[str], bool]:
          for t, row, l2 in zip(grid.times, diff, lp_norm_rows(diff, grid.xs, 2)))))
 
     err1 = float(diff[-1].max())
-    nx2 = 2 * sc.nx - 1
     grid2 = _cfl_grid(problem, nx2, sc.horizon)
     diff2 = np.abs(solve_field(problem, grid2).values
                    - upwind_solve(problem, grid2).values)

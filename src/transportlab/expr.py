@@ -13,7 +13,10 @@ Exponentiation binds tighter than unary minus, so ``-2^2 == -4`` and
 ``2^3^2 == 512``.  Parsed trees are immutable.
 
 One compiler turns a tree into straight-line code, with either of two
-runtime tables.  Calling an expression runs its numpy function, compiled on
+runtime tables.  It emits each distinct subtree once, so a subtree that the
+text repeats, such as the ``cos(k*x - om*t + ps)`` of a manufactured source,
+is computed once per call; values and errors are those of computing every
+occurrence.  Calling an expression runs its numpy function, compiled on
 the first call: it is reentrant and accepts scalar or ndarray bindings
 (broadcasting applies).  ``Expression.float_function`` returns its float
 function, compiled on the first scalar read: the Python floats t and x as
@@ -38,6 +41,7 @@ propagate NaN, as their numpy counterparts do.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Union
 
@@ -406,59 +410,87 @@ def _compile(root: Node, runtime: Mapping[str, object] = _RUNTIME):
 
     With ``_RUNTIME`` the function takes the binding mapping; with
     ``_FLOAT_RUNTIME`` it takes t and x as positional arguments, and any
-    other variable is unbound.  Nodes become assignments in post-order, so
-    operands are evaluated left to right as a recursive walk would, with the
-    same calls on the same operand types: results are bit-identical to
-    walking the tree, and straight-line code has no nesting limit.
-    Constants and variable names live in the function's globals rather than
-    in its source, and each variable is looked up once, at its first use.
-    Each intermediate has one consumer, so its name is reused once that
-    consumer is emitted: a call holds only the intermediates still live,
-    not one array per node.
+    other variable is unbound.  Subtrees are numbered bottom up by value:
+    constants by their bits, variables by name, operators by the numbers of
+    their operands; an object met twice is walked once.  Each distinct
+    subtree becomes one assignment, where a post-order walk first meets it,
+    so operands are evaluated left to right with the same calls on the same
+    operand types, and a repeat reads the value recomputing it would give:
+    results are bit-identical to walking the tree, the first node to raise
+    is the same, and straight-line code has no nesting limit.  Constants
+    and variable names live in the function's globals rather than in its
+    source, and each variable is looked up once, at its first use.  A
+    temporary's name is reused once its last consumer, counted by uses, is
+    emitted: a call holds only the intermediates still live, not one array
+    per node.
     """
     floats = runtime is _FLOAT_RUNTIME
+    numbers: dict[tuple, int] = {}  # key of a distinct subtree -> its number
+    walked: dict[int, int] = {}  # id of a node already numbered -> its number
+    distinct: list[tuple[Node, str, tuple[int, ...]]] = []  # by number
+    uses: list[int] = []  # consumers of each number among the distinct subtrees
+
+    def number(node: Node) -> int:
+        if id(node) in walked:
+            return walked[id(node)]
+        template, operands = "", ()
+        if isinstance(node, Num):
+            key: tuple = ("k", struct.pack("<d", node.value))  # 0.0 is not -0.0
+        elif isinstance(node, Var):
+            key = ("v", node.name)
+        else:
+            if isinstance(node, Neg):
+                template, children = "-{}", (node.arg,)
+            elif isinstance(node, BinOp) and node.op in _BINOPS:
+                template, children = _BINOPS[node.op], (node.left, node.right)
+            elif isinstance(node, Call) and f"_fn_{node.func}" in runtime:
+                template = f"_fn_{node.func}({', '.join(['{}'] * len(node.args))})"
+                children = node.args
+            else:
+                raise TypeError(f"unknown node {node!r}")
+            operands = tuple(map(number, children))
+            key = (template, *operands)
+        if key not in numbers:
+            numbers[key] = len(distinct)
+            distinct.append((node, template, operands))
+            uses.append(0)
+            for o in operands:
+                uses[o] += 1
+        walked[id(node)] = numbers[key]
+        return numbers[key]
+
+    result = number(root)
     namespace = dict(runtime)
     lines: list[str] = []
-    slots: dict[str, str] = {}
+    names: list[str] = []  # the Python name of each number's value
+    slots = 0
     temps: set[str] = set()
     free: list[str] = []
-
-    def emit(node: Node) -> str:
+    for node, template, operands in distinct:
         if isinstance(node, Num):
             name = f"_k{len(namespace)}"
             namespace[name] = node.value
-            return name
-        if isinstance(node, Var):
-            if floats and node.name in _FLOAT_PARAMS:
-                return node.name
-            if node.name not in slots:
-                key = f"_n{len(namespace)}"
-                namespace[key] = node.name
-                slots[node.name] = f"_v{len(slots)}"
-                env = "{}" if floats else "env"
-                lines.append(f"{slots[node.name]} = _binding({env}, {key})")
-            return slots[node.name]
-        if isinstance(node, Neg):
-            args = [emit(node.arg)]
-            code = f"-{args[0]}"
-        elif isinstance(node, BinOp) and node.op in _BINOPS:
-            args = [emit(node.left), emit(node.right)]
-            code = _BINOPS[node.op].format(*args)
-        elif isinstance(node, Call) and f"_fn_{node.func}" in runtime:
-            args = [emit(a) for a in node.args]
-            code = f"_fn_{node.func}({', '.join(args)})"
+        elif isinstance(node, Var) and floats and node.name in _FLOAT_PARAMS:
+            name = node.name
+        elif isinstance(node, Var):
+            label = f"_n{len(namespace)}"
+            namespace[label] = node.name
+            name = f"_v{slots}"
+            slots += 1
+            lines.append(f"{name} = _binding({'{}' if floats else 'env'}, {label})")
         else:
-            raise TypeError(f"unknown node {node!r}")
-        free.extend(a for a in args if a in temps)
-        out = free.pop() if free else f"_r{len(temps)}"
-        temps.add(out)
-        lines.append(f"{out} = {code}")
-        return out
+            for o in operands:
+                uses[o] -= 1
+                if uses[o] == 0 and names[o] in temps:
+                    free.append(names[o])
+            name = free.pop() if free else f"_r{len(temps)}"
+            temps.add(name)
+            lines.append(f"{name} = {template.format(*(names[o] for o in operands))}")
+        names.append(name)
 
-    result = emit(root)
     body = "".join(f"    {line}\n" for line in lines)
     params = ", ".join(_FLOAT_PARAMS) if floats else "env"
-    exec(f"def _compiled({params}):\n{body}    return {result}\n", namespace)
+    exec(f"def _compiled({params}):\n{body}    return {names[result]}\n", namespace)
     return namespace["_compiled"]
 
 

@@ -14,14 +14,19 @@ a time, before they formatted a row or a certificate at a time.
 ``zeroed`` is a problem with some of its data set to zero, as ``decompose``
 solves them.  ``two_solves``, ``transport_run``, ``continuity_run`` and
 ``manufacturing_run`` solve a certificate's coarse grid with a fan of its
-own, as they did before one fan served both grids.
+own, as they did before one fan served both grids.  ``tree_value`` walks an
+expression tree, evaluating each node wherever it occurs, as expressions
+were evaluated before a compiled function computed each distinct subtree
+once.
 """
 
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 
+from transportlab import expr
 from transportlab.bounds import TrajectoryRun, boundary_coefficient, mu_is_valid
 from transportlab.characteristics import rk4_step
 from transportlab.cli import _fmt_p
@@ -305,3 +310,21 @@ def manufacturing_run(run):
         kind="manufacturing", grid=grid, state=run.rho, state_coarse=coarse,
         ext=None, b_values=b_vals, f_rows=None, phi_row=phi_row,
         rho_s=sc.rho_s, r=run.terminal)
+
+
+def tree_value(node, runtime, env):
+    """The tree's value, each node evaluated at each of its occurrences and
+    operands left to right, with the helpers of a runtime table of ``expr``
+    (``_RUNTIME`` or ``_FLOAT_RUNTIME``) and the bindings ``env``."""
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Var):
+        return runtime["_binding"](env, node.name)
+    if isinstance(node, expr.Neg):
+        return -tree_value(node.arg, runtime, env)
+    if isinstance(node, expr.Call):
+        return runtime[f"_fn_{node.func}"](*[tree_value(a, runtime, env) for a in node.args])
+    left = tree_value(node.left, runtime, env)
+    right = tree_value(node.right, runtime, env)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": runtime["_div"], "^": runtime["_pow"]}[node.op](left, right)

@@ -80,6 +80,24 @@ p = 2
 mu = 0.3
 """
 
+# f = w*_t + v w*_x - a w* of the exact solution
+# w* = 0.5 sin(2x - t + 0.3) + 0.2 x t exp(-t), written out, so cos(2*x - t + 0.3)
+# and exp(-t) repeat
+MANUFACTURED_TRANSPORT_SRC = """\
+problem = transport
+v = "1 + 0.2*sin(pi*x)"
+phi = "0.5*sin(2*x + 0.3)"
+a = "-0.1"
+f = "-0.5*cos(2*x - t + 0.3) + 0.2*x*(1 - t)*exp(-t) + (1 + 0.2*sin(pi*x))*(cos(2*x - t + 0.3) + 0.2*t*exp(-t)) + 0.1*(0.5*sin(2*x - t + 0.3) + 0.2*x*t*exp(-t))"
+b = "0.5*sin(0.3 - t)"
+nx = 101
+dt = 0.01
+horizon = 0.8
+estimates = E2.10
+p = 2
+mu = 0.5
+"""
+
 MANUFACTURING_SRC = """\
 problem = manufacturing
 rho_s = 1.0
@@ -190,6 +208,19 @@ def test_oracle_compare_grid_refinement(tmp_path):
     assert 1.2 < float(rows[1][2]) < 3.0       # first-order shrink ~ 2
 
 
+def test_oracle_compare_refines_a_manufactured_solution(tmp_path):
+    path = write(tmp_path, "made.txt", MANUFACTURED_TRANSPORT_SRC)
+    state = simulation(load_scenario(path)).state
+    t, x = state.times[:, None], state.xs[None, :]
+    exact = 0.5 * np.sin(2 * x - t + 0.3) + 0.2 * x * t * np.exp(-t)
+    # the fan interpolates linearly between members: dx^2 |w*_xx| / 8 is 5e-5
+    assert np.abs(state.values - exact).max() < 1e-4
+    rc = cli.main(["run", path, "--mode", "oracle-compare", "--out", str(tmp_path)])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "made_refine.csv")
+    assert 1.2 < float(rows[1][2]) < 3.0
+
+
 def test_experiments_outputs(tmp_path):
     src = TRANSPORT_SRC + "theta = 0.5\n"
     path = write(tmp_path, "demo.txt", src)
@@ -254,13 +285,15 @@ def test_certify_on_an_even_grid_passes_with_field_norms(tmp_path):
 
 
 def test_certify_checks_the_initial_density_on_the_coarse_nodes(tmp_path, capsys):
+    # oracle-compare solves on nx and 2nx - 1 nodes, and x = 0.5 is a node of the second
     path = write(tmp_path, "zero.txt", COARSE_ZERO_CONTINUITY_SRC)
     assert cli.main(["run", path, "--mode", "simulate", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert cli.main(["run", path, "--mode", "certify", "--out", str(tmp_path)]) == 2
-    assert json.loads(capsys.readouterr().out) == {
-        "error": "FieldValidationError",
-        "messages": ["initial density must be positive on the grid"]}
+    for mode in ("certify", "oracle-compare"):
+        assert cli.main(["run", path, "--mode", mode, "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "FieldValidationError",
+            "messages": ["initial density must be positive on the grid"]}
 
 
 def _two_solve_run(sc):
@@ -600,10 +633,38 @@ _DATA = {
 }
 
 
+# the numeric keys each mode reads: a hostile value in any other key would
+# stop the draw at validation, before the mode's own work
+_READS = {"simulate": ("nx", "dt", "horizon", "rho_s"),
+          "oracle-compare": ("nx", "dt", "horizon", "rho_s"),
+          "certify": ("nx", "dt", "horizon", "rho_s", "p", "mu"),
+          "experiments": ("nx", "dt", "horizon", "rho_s", "p", "mu", "theta"),
+          "sweep": ("nx", "dt", "horizon", "p", "mu", "count")}
+_EXPR_VARS = {"v": ("t", "x"), "a": ("t", "x"), "f": ("t", "x"),
+              "phi": ("x",), "rho0": ("x",), "b": ("t",)}
+_FUNCS = ("exp", "ln", "sin", "cos", "sqrt", "abs")
+
+
+def _reusing_text(variables):
+    """Expression text that uses one drawn subtree more than once."""
+    sub = st.recursive(
+        st.sampled_from(list(variables) + ["0.5", "2", "-1", "1e300"]),
+        lambda c: st.one_of(
+            st.tuples(c, st.sampled_from("+-*/^"), c).map(lambda p: f"({' '.join(p)})"),
+            st.tuples(st.sampled_from(_FUNCS), c).map(lambda p: f"{p[0]}({p[1]})")),
+        max_leaves=4)
+    return st.tuples(sub, st.sampled_from(_FUNCS), st.sampled_from("+-*/^")).map(
+        lambda p: f"{p[1]}({p[0]}) {p[2]} {p[0]}")
+
+
 @st.composite
 def _hostile_files(draw):
-    """A valid small file in which a few numeric keys take hostile values;
-    a hostile list key mixes them with valid entries."""
+    """A mode, and a valid small file in which a few numeric keys that the
+    mode reads take hostile values (a hostile list key mixes them with valid
+    entries); in half the draws one data expression is replaced by text that
+    reuses a subtree.  A replaced speed is 1 + 0.25 sin(...), at most 1.25,
+    so the oracle's CFL grid stays small."""
+    mode = draw(st.sampled_from(sorted(_READS)))
     problem = draw(st.sampled_from(sorted(_DATA)))
     dt = draw(st.sampled_from([0.01, 0.02, 0.05]))
     keys = {"nx": str(draw(st.integers(2, 21))), "dt": repr(dt),
@@ -612,7 +673,8 @@ def _hostile_files(draw):
             "p": draw(st.sampled_from(["2", "4", "inf", "2, inf"])),
             "mu": draw(st.sampled_from(["0.1", "0.5", "0.1, 1.0"])),
             "theta": "0.5", "count": "2"}
-    for key in draw(st.sets(st.sampled_from(sorted(keys)), max_size=3)):
+    reads = [k for k in _READS[mode] if not (k == "rho_s" and problem == "transport")]
+    for key in draw(st.sets(st.sampled_from(reads), max_size=3)):
         if key in ("nx", "dt", "horizon"):
             keys[key] = draw(st.sampled_from(["nan", "inf", "-1", "0"]))
         elif key in ("p", "mu", "theta"):
@@ -620,13 +682,22 @@ def _hostile_files(draw):
             keys[key] = ", ".join(draw(st.permutations(items + [keys[key]])))
         else:
             keys[key] = draw(st.sampled_from(_HOSTILE))
-    return "\n".join(_DATA[problem] + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+    lines = list(_DATA[problem])
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.split(" =")[0] in _EXPR_VARS]))
+        key = lines[i].split(" =")[0]
+        text = draw(_reusing_text(_EXPR_VARS[key]))
+        if key == "v":
+            text = f"1 + 0.25*sin({text})"
+        lines[i] = f'{key} = "{text}"'
+    return mode, "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
 
 
 @settings(max_examples=200, deadline=None)
-@given(_hostile_files(), st.sampled_from(
-    ["certify", "simulate", "oracle-compare", "experiments", "sweep"]))
-def test_hostile_files_reach_one_defined_outcome(src, mode):
+@given(_hostile_files())
+def test_hostile_files_reach_one_defined_outcome(case):
+    mode, src = case
     with tempfile.TemporaryDirectory() as out:
         path = os.path.join(out, "hostile.txt")
         with open(path, "w") as fh:

@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 
@@ -12,6 +13,8 @@ from transportlab.expr import (
     parse,
     to_string,
 )
+
+import reference_forms
 
 ROUNDTRIP_TOL = 1e-12
 
@@ -221,6 +224,94 @@ def test_float_function_matches_numpy_function(root, t, x):
         assert struct.pack("<d", got) == struct.pack("<d", want)
     else:
         assert math.isclose(got, want, rel_tol=1e-13)
+
+
+# --- shared subtrees against a walk of every node ---------------------------
+
+_OPS = st.sampled_from("+-*/^")
+
+
+def _reusing(s):
+    """Trees that use the subtree s more than once: the same object, or an
+    equal copy of it."""
+    twin = st.sampled_from([s, copy.deepcopy(s)])
+    func = st.sampled_from(["exp", "ln", "sqrt", "sin", "cos", "abs"])
+    return st.one_of(
+        st.tuples(_OPS, twin).map(lambda p: expr.BinOp(p[0], s, p[1])),
+        st.tuples(_OPS, func, twin).map(
+            lambda p: expr.BinOp(p[0], _call(p[1], s), p[2])),
+        st.tuples(_OPS, twin, func).map(
+            lambda p: expr.BinOp(p[0], p[1], _call(p[2], s))),
+        st.tuples(st.sampled_from(["min", "max"]), twin).map(
+            lambda p: _call(p[0], s, expr.Neg(p[1]))),
+        st.tuples(_OPS, _ast).map(lambda p: expr.BinOp(p[0], p[1], s)),
+    )
+
+
+@st.composite
+def _shared_trees(draw):
+    root = draw(_float_tree)
+    for _ in range(draw(st.integers(1, 3))):
+        root = draw(_reusing(root))
+    return root
+
+
+def _bits_or_error(fn):
+    """The value's bits (NaN positions and the sign of zero included), or
+    the message of the ExpressionDomainError it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(), dtype=float).view(np.int64).tolist(), None
+    except ExpressionDomainError as err:
+        return None, str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_trees(), _hostile, st.lists(_hostile, min_size=1, max_size=6))
+@example(_call("min", expr.Num(0.0), expr.Num(-0.0)), 0.0, [0.0])  # two constants
+def test_shared_subtrees_match_a_walk_of_every_node(root, t, xs):
+    e = expr.Expression(root, expr._fmt(root), frozenset({"t", "x"}))
+    x = np.array(xs)
+    assert _bits_or_error(lambda: e(t=t, x=x)) == _bits_or_error(
+        lambda: reference_forms.tree_value(root, expr._RUNTIME, {"t": t, "x": x}))
+    f = e.float_function()
+    for xi in xs:
+        assert _bits_or_error(lambda: f(t, xi)) == _bits_or_error(
+            lambda: reference_forms.tree_value(root, expr._FLOAT_RUNTIME,
+                                               {"t": t, "x": xi}))
+
+
+def test_a_repeated_subtree_is_evaluated_once(monkeypatch):
+    cos = reference_forms.Counted(np.cos)
+    cos_float = reference_forms.Counted(expr._cos_float)
+    monkeypatch.setitem(expr._RUNTIME, "_fn_cos", cos)
+    monkeypatch.setitem(expr._FLOAT_RUNTIME, "_fn_cos", cos_float)
+    e = parse("cos(x - t)*sin(x) + cos(x - t)")
+    x = np.linspace(0.0, 1.0, 11)
+    for calls in (1, 2):
+        assert np.array_equal(e(t=0.3, x=x), np.cos(x - 0.3) * np.sin(x) + np.cos(x - 0.3))
+        assert e.float_function()(0.3, 0.9) == \
+            math.cos(0.9 - 0.3) * math.sin(0.9) + math.cos(0.9 - 0.3)
+        assert cos.calls == cos_float.calls == calls
+
+
+def test_nested_repeats_compile_in_linear_time(monkeypatch):
+    # each level holds the one below twice: 2^300 leaves as a tree, 601
+    # distinct subtrees, so only a compiler that meets each once finishes
+    cos = reference_forms.Counted(np.cos)
+    monkeypatch.setitem(expr._RUNTIME, "_fn_cos", cos)
+    root = expr.Var("x")
+    for _ in range(300):
+        root = expr.BinOp("-", _call("cos", root), root)
+    e = expr.Expression(root, "", frozenset({"x"}))
+    x = np.linspace(-2.0, 2.0, 9)
+    want = x
+    for _ in range(300):
+        want = np.cos(want) - want
+    assert np.array_equal(e(x=x), want)
+    assert cos.calls == 300
+    temporaries = [n for n in e._compiled.__code__.co_varnames if n.startswith("_r")]
+    assert len(temporaries) <= 2
 
 
 # --- the numpy function's power rule ----------------------------------------
