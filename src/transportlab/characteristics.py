@@ -127,7 +127,6 @@ class CharacteristicEngine:
         self.dt = grid.dt
         self._last: Optional[tuple] = None  # (t0, x0, until) and its path
         self._separatrix: Optional[Locus] = None
-        self._vmin_running: Optional[np.ndarray] = None
 
     # -- forward flow ------------------------------------------------------
 
@@ -174,15 +173,12 @@ class CharacteristicEngine:
             out.append(Locus(float(xi), times, pos, path.s_exit))
         return out
 
-    # -- running minimum of v (bracket widths) -----------------------------
+    # -- running minimum of v (bracket widths), from v's record -------------
 
     def vmin_up_to(self, t: float) -> float:
-        if self._vmin_running is None:
-            rows = np.min(self.v.grid_rows(self.grid), axis=1)
-            self._vmin_running = np.minimum.accumulate(rows)
-        idx = min(len(self._vmin_running) - 1,
-                  max(0, int(np.ceil(t / self.dt - 1e-12))))
-        return float(self._vmin_running[idx])
+        vmin = self.v.range_on(self.grid).vmin
+        idx = min(len(vmin) - 1, max(0, int(np.ceil(t / self.dt - 1e-12))))
+        return float(vmin[idx])
 
     # -- the scalar march ---------------------------------------------------
 

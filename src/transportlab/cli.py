@@ -28,7 +28,7 @@ from .bounds import (EstimateValidityError, bias_experiment,
 from .characteristics import CharacteristicsError
 from .continuity import log_state_problem
 from .expr import ExpressionError
-from .fields import FieldValidationError, Grid, row_blocks
+from .fields import FieldValidationError, Grid
 from .manufacturing import ManufacturingError
 from .norms import lp_norm_rows
 from .oracle import OracleError, upwind_solve
@@ -137,32 +137,28 @@ def _oracle_problem(sc: Scenario, nxs: Tuple[int, ...]):
                          "continuity scenarios"])
 
 
-def _cfl_grid(problem, nx: int, horizon: float, cfl: float = 0.5) -> Grid:
+def _oracle_diff(problem, nx: int, horizon: float, cfl: float = 0.5):
+    """The grid of ``nx`` nodes whose steps hold the CFL number near ``cfl``,
+    and |characteristics - upwind| on it."""
     probe = Grid(nx, horizon / max(2, round(horizon / 0.01)), horizon)
-    vmax = max(0.0, *(float(np.max(block)) for _, block in row_blocks(problem.v, probe)))
-    dx = 1.0 / (nx - 1)
-    steps = max(1, math.ceil(horizon * vmax / (cfl * dx)))
-    return Grid(nx, horizon / steps, horizon)
+    vmax = max(0.0, problem.v.range_on(probe).vmax)
+    grid = Grid(nx, horizon / max(1, math.ceil(horizon * vmax / (cfl * probe.dx))), horizon)
+    return grid, np.abs(solve_field(problem, grid).values - upwind_solve(problem, grid).values)
 
 
 def _mode_oracle(sc: Scenario, out: str) -> Tuple[List[str], bool]:
     nx2 = 2 * sc.nx - 1
     problem = _oracle_problem(sc, (sc.nx, nx2))
-    grid = _cfl_grid(problem, sc.nx, sc.horizon)
-    char = solve_field(problem, grid)
-    ora = upwind_solve(problem, grid)
-    diff = np.abs(char.values - ora.values)
+    # both grids are solved before the first write, so an error writes nothing
+    grid, diff = _oracle_diff(problem, sc.nx, sc.horizon)
+    err1 = float(diff[-1].max())
+    err2 = float(_oracle_diff(problem, nx2, sc.horizon)[1][-1].max())
     per_time = os.path.join(out, f"{sc.name}_oracle.csv")
     _write(per_time, chain(
         ["t,max_abs,l2"],
         (f"{_fmt(t)},{_fmt(row.max())},{_fmt(l2)}"
          for t, row, l2 in zip(grid.times, diff, lp_norm_rows(diff, grid.xs, 2)))))
 
-    err1 = float(diff[-1].max())
-    grid2 = _cfl_grid(problem, nx2, sc.horizon)
-    diff2 = np.abs(solve_field(problem, grid2).values
-                   - upwind_solve(problem, grid2).values)
-    err2 = float(diff2[-1].max())
     refine = ["nx,max_abs,ratio",
               f"{sc.nx},{_fmt(err1)},",
               f"{nx2},{_fmt(err2)},{_fmt(err1 / err2)}"]

@@ -6,7 +6,8 @@ holds each kind of data and adds its validation: ``BoundarySignal`` b(t),
 a(t, x) and f(t, x), and its subclass ``VelocityField`` v(t, x).  A (t, x)
 field's ``ddx`` is a central difference of step ``FD_STEP`` unless given;
 the corner compatibility checks use one-sided differences of the same step.
-A speed below ``SPEED_FLOOR`` anywhere on the grid is rejected.
+A speed below ``SPEED_FLOOR`` anywhere on the grid is rejected.  v's range
+on a grid (``VelocityField.range_on``) is the one reduction of v over a grid.
 
 Data are sampled on a grid a block of grid times per call (``row_blocks``),
 and the transport fan reads a and f a block of ``ROW_BLOCK`` steps per call:
@@ -32,6 +33,7 @@ __all__ = [
     "FieldValidationError",
     "SpaceTimeField",
     "VelocityField",
+    "SpeedRange",
     "BoundarySignal",
     "InitialProfile",
     "TransportCoefficients",
@@ -138,42 +140,50 @@ class SpaceTimeField:
         return (self._fn(t, x + h) - self._fn(t, x - h)) / (2 * h)
 
 
+@dataclass(frozen=True)
+class SpeedRange:
+    """v's range on one grid: ``vmin[k]`` is the least v over grid times 0 to
+    k (nt + 1 floats, read-only, NaN from the first NaN on), ``vmax`` the
+    grid maximum."""
+
+    vmin: np.ndarray
+    vmax: float
+
+
 class VelocityField(SpaceTimeField):
     """Transport speed v(t, x); must stay at or above ``SPEED_FLOOR`` on the grid.
 
-    ``fn`` must be a pure function of (t, x): the rows of v on a grid are
-    evaluated once and kept, read-only, for the latest grid asked for (see
-    ``grid_rows``).  ``_uniform_in_x`` is a class constant, true only for the
-    speeds of t alone that ``manufacturing.sampled_velocity`` makes; see
-    ``rk4_step``.
+    ``fn`` must be a pure function of (t, x): v's range on a grid is
+    worked out once and kept for the latest grid asked for (see
+    ``range_on``); v's rows themselves are not kept.  ``_uniform_in_x`` is a
+    class constant, true only for the speeds of t alone that
+    ``manufacturing.sampled_velocity`` makes; see ``rk4_step``.
     """
 
     _uniform_in_x = False
+    _range: Optional[tuple] = None  # (grid, range) of the latest range_on call
 
-    def __init__(self, fn: Callable, ddx_fn: Optional[Callable] = None):
-        super().__init__(fn, ddx_fn)
-        self._rows = None  # (grid, rows) of the latest grid_rows call
-
-    def grid_rows(self, grid: "Grid") -> np.ndarray:
-        """v at every grid node, shape (nt + 1, nx), one row per grid time.
-
-        Read-only; evaluated once and reused until another grid is asked for.
-        """
-        if self._rows is None or self._rows[0] != grid:
-            rows = sample_grid(self._fn, grid)
-            rows.flags.writeable = False
-            self._rows = (grid, rows)
-        return self._rows[1]
+    def range_on(self, grid: "Grid") -> SpeedRange:
+        """v's range on the grid, from one ``row_blocks`` pass; reused until
+        another grid is asked for."""
+        if self._range is None or self._range[0] != grid:
+            lo, hi = np.empty((2, grid.nt + 1))
+            for rows, block in row_blocks(self._fn, grid):
+                lo[rows], hi[rows] = np.min(block, axis=1), np.max(block, axis=1)
+            vmin = np.minimum.accumulate(lo)
+            vmin.flags.writeable = False
+            self._range = (grid, SpeedRange(vmin, float(np.max(hi))))
+        return self._range[1]
 
     def validate_positive(self, grid: "Grid") -> float:
         """Return the grid minimum of v; raise if it drops below the floor or
         is not finite."""
-        rows = self.grid_rows(grid)
-        vmin = float(np.min(rows))
+        speeds = self.range_on(grid)
+        vmin = float(speeds.vmin[-1])
         if not vmin >= SPEED_FLOOR:
             raise FieldValidationError(
                 f"velocity must be positive on the grid (min {vmin:.3e} < floor {SPEED_FLOOR:.1e})")
-        if not np.max(rows) < math.inf:
+        if not speeds.vmax < math.inf:
             raise FieldValidationError("velocity is not finite on the grid")
         return vmin
 

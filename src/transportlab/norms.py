@@ -101,7 +101,8 @@ def sup_log_norm(rho_row: np.ndarray, rho_s: float) -> float:
 class Extremals:
     """Running data extremals over [0, t_k] x [0, 1], one row k per grid time.
 
-    vmin: running minimum of v (nonincreasing);
+    vmin: running minimum of v (nonincreasing), ``VelocityField.range_on``'s
+    own read-only array;
     dvdx_max: running maximum of dv/dx (nondecreasing);
     a_max: running maximum of the reaction coefficient (nondecreasing, 0 when absent).
     """
@@ -113,19 +114,17 @@ class Extremals:
 
 def extremals(v: VelocityField, grid: Grid,
               a: Optional[SpaceTimeField] = None) -> Extremals:
-    """Sample v, dv/dx, and a on the grid and accumulate their running extremals."""
-    vmin_rows = np.empty(grid.nt + 1)
+    """The running minimum of v from ``v.range_on(grid)``; dv/dx and a
+    sampled on the grid, and their running maxima accumulated."""
     slope_rows = np.empty(grid.nt + 1)
     a_rows = np.zeros(grid.nt + 1)
-    for rows, block in row_blocks(v, grid):
-        vmin_rows[rows] = np.min(block, axis=1)
     for rows, block in row_blocks(v.ddx, grid):
         slope_rows[rows] = np.max(block, axis=1)
     if a is not None:
         for rows, block in row_blocks(a, grid):
             a_rows[rows] = np.max(block, axis=1)
     return Extremals(
-        vmin=np.minimum.accumulate(vmin_rows),
+        vmin=v.range_on(grid).vmin,
         dvdx_max=np.maximum.accumulate(slope_rows),
         a_max=np.maximum.accumulate(a_rows),
     )

@@ -1,12 +1,12 @@
 """First-order upwind finite differences, kept as an independent cross-check.
 
 The scheme shares nothing with the characteristics machinery beyond the
-problem data: explicit Euler in time, backward differences in space (valid
-because v > 0 means information always travels rightward), inflow cell
-updated from the boundary signal.  It converges at first order only, so
-agreement within a few grid spacings - improving under refinement - is
-strong evidence that the characteristic solver integrates the right
-equation.
+problem data and v's range on the grid, which its CFL check reads: explicit
+Euler in time, backward differences in space (valid because v > 0 means
+information always travels rightward), inflow cell updated from the
+boundary signal.  It converges at first order only, so agreement within a
+few grid spacings - improving under refinement - is strong evidence that
+the characteristic solver integrates the right equation.
 """
 
 from __future__ import annotations
@@ -30,25 +30,21 @@ def upwind_solve(problem: TransportProblem, grid: Grid) -> SolutionField:
     grid violates it rather than returning an unstable answer.
     """
     problem.validate(grid)
-    xs = grid.xs
-    times = grid.times
-    dx = grid.dx
-    lam = grid.dt / dx
+    lam = grid.dt / grid.dx
 
-    v_rows = problem.v.grid_rows(grid)
-    cfl = lam * float(v_rows.max())
+    cfl = grid.cfl_number(problem.v.range_on(grid).vmax)
     if cfl > 1.0 + 1e-12:
         raise OracleError(
             f"CFL number {cfl:.6g} exceeds 1; refine dt below dx / max v")
 
     w = np.empty((grid.nt + 1, grid.nx))
-    w[0] = np.asarray(problem.phi(xs), dtype=float)
-    w[:, 0] = problem.b(times)
-    blocks = zip(row_blocks(problem.coeffs.a, grid), row_blocks(problem.coeffs.f, grid))
-    for (rows, a_block), (_, f_block) in blocks:
-        for n, a_row, f_row in zip(range(rows.start, grid.nt), a_block, f_block):
+    w[0] = np.asarray(problem.phi(grid.xs), dtype=float)
+    w[:, 0] = problem.b(grid.times)
+    blocks = zip(*(row_blocks(fn, grid) for fn in (problem.v, problem.coeffs.a, problem.coeffs.f)))
+    for (rows, v_block), (_, a_block), (_, f_block) in blocks:
+        for n, v_row, a_row, f_row in zip(range(rows.start, grid.nt), v_block, a_block, f_block):
             row = w[n]
             w[n + 1, 1:] = (row[1:]
-                            - lam * v_rows[n, 1:] * (row[1:] - row[:-1])
+                            - lam * v_row[1:] * (row[1:] - row[:-1])
                             + grid.dt * (a_row[1:] * row[1:] + f_row[1:]))
     return SolutionField(grid=grid, values=w, kind="w")

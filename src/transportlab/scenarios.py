@@ -246,12 +246,12 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
     if grid is not None and problem and not errors:
         if "v" in parsed_exprs:
             try:
-                VelocityField.from_expression(data["v"]).validate_positive(grid)
+                VelocityField.from_expression(parsed_exprs["v"]).validate_positive(grid)
             except FieldValidationError as e:
                 errors.append(f"v: {e}")
         if problem == "continuity":
             try:
-                InitialProfile.from_expression(data["rho0"]) \
+                InitialProfile.from_expression(parsed_exprs["rho0"]) \
                     .validate_positive(grid.xs)
             except FieldValidationError as e:
                 errors.append(f"rho0: {e}")
@@ -259,9 +259,9 @@ def _validate(data: dict, name: str, errors: list) -> Scenario:
             try:
                 ProductionScenario(
                     data.get("rho_s", 1.0),
-                    InitialProfile.from_expression(data["rho0"]),
-                    BoundarySignal.from_expression(data.get("b", "0")),
-                    data["lambda"], data["horizon"])
+                    InitialProfile.from_expression(parsed_exprs["rho0"]),
+                    BoundarySignal.from_expression(parsed_exprs.get("b", "0")),
+                    parsed_exprs["lambda"], data["horizon"])
             except ManufacturingError as e:
                 errors.append(f"manufacturing data: {e}")
 

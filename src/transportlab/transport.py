@@ -80,10 +80,10 @@ class TransportProblem:
     """Data for one transport run: initial phi, boundary b, speed v, and (a, f).
 
     The problem keeps the characteristic engine of its latest (v, grid)
-    pair for ``solve_point``, so the separatrix and the running minimum of
-    v are integrated once and serve every query on that grid.  The engine
-    memoizes only its latest flow, so a long-lived problem holds one path.
-    Asking for another grid, or replacing ``v``, starts a new engine.
+    pair for ``solve_point``, so the separatrix is integrated once and serves
+    every query on that grid; the running minimum of v is v's ``range_on``.
+    The engine memoizes only its latest flow, so a long-lived problem holds
+    one path.  Asking for another grid, or replacing ``v``, starts a new engine.
     """
 
     phi: InitialProfile

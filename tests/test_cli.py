@@ -531,6 +531,21 @@ def test_out_of_range_scenario_values_report_json(tmp_path, capsys, mode, src, m
     assert sorted(os.listdir(tmp_path)) == ["probe.txt"]
 
 
+def test_oracle_compare_writes_nothing_when_the_fine_grid_fails(tmp_path, capsys):
+    # phi is finite on the 40 nodes but not at x = 0.5, a node of the
+    # 79-node refinement grid: the error must come before any artifact
+    src = ('problem = transport\nv = "1"\nphi = "1/(x - 0.5)"\nb = "-2"\n'
+           "nx = 40\ndt = 0.01\nhorizon = 0.2\n")
+    path = write(tmp_path, "half.txt", src)
+    rc = cli.main(["run", path, "--mode", "oracle-compare", "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report == {"error": "ExpressionDomainError", "messages": ["division by zero"]}
+    assert "Traceback" not in captured.err
+    assert sorted(os.listdir(tmp_path)) == ["half.txt"]
+
+
 def test_missing_file_reports_json(tmp_path, capsys):
     rc = cli.main(["run", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 2

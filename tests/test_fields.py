@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,10 @@ def test_velocity_positivity_enforced():
     with np.errstate(over="ignore"):
         with pytest.raises(FieldValidationError, match="not finite"):
             VelocityField.from_expression("1 + x*1e200*1e200").validate_positive(g)
+    # a NaN speed is below no floor, yet it is not positive either
+    nan_speed = VelocityField(lambda t, x: np.where(x < 0.5, 1.0, math.nan) + 0.0 * t)
+    with pytest.raises(FieldValidationError, match="positive"):
+        nan_speed.validate_positive(g)
 
 
 def test_velocity_floor_is_the_least_speed_allowed():
@@ -214,8 +219,31 @@ def _fields_to_sample():
 
 @pytest.mark.parametrize("kind", ["expression", "constant", "sampled", "slope"])
 def test_grid_rows_sample_a_block_of_rows_per_call(kind):
+    # v's range on a grid reduces its grid rows, sampled a block at a time
     base = _fields_to_sample()[kind]
     counted = Counted(base)
-    rows = VelocityField(counted).grid_rows(SAMPLED_GRID)
+    v = VelocityField(counted)
+    speeds = v.range_on(SAMPLED_GRID)
     assert counted.calls == math.ceil((SAMPLED_GRID.nt + 1) / ROW_BLOCK)
-    assert np.array_equal(rows, reference_forms.grid_rows(base, SAMPLED_GRID))
+    rows = reference_forms.grid_rows(base, SAMPLED_GRID)
+    assert np.array_equal(speeds.vmin, np.minimum.accumulate(rows.min(axis=1)))
+    assert speeds.vmax == rows.max()
+    assert not speeds.vmin.flags.writeable
+    # kept for the latest grid only
+    assert v.range_on(SAMPLED_GRID) is speeds
+    v.range_on(Grid(nx=21, dt=0.01, horizon=0.8))
+    assert v.range_on(SAMPLED_GRID) is not speeds
+
+
+def test_a_validated_speed_keeps_its_range_not_its_rows():
+    grid = Grid(nx=240, dt=1e-3, horizon=0.8)  # 801 rows
+    v = VelocityField.from_expression("1 + 0.3*sin(pi*x)*cos(3*t)")
+    v(grid.times[:2, None], grid.xs)  # the expression's code and the grid's nodes are built
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        v.validate_positive(grid)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < (grid.nt + 1) * grid.nx * 8 / 10

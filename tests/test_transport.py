@@ -334,7 +334,7 @@ def test_members_past_the_wall_stop_being_stepped():
         return 4.0
 
     v = VelocityField(speed)
-    v.grid_rows(grid)  # the grid rows are kept; what follows is the fan's RK4
+    v.range_on(grid)  # validation reads this kept record; what follows is the fan's RK4
     stepped.clear()
     prob = TransportProblem(phi=InitialProfile.from_expression("x"),
                             b=BoundarySignal.from_expression("-t"), v=v)
