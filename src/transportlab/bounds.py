@@ -190,12 +190,15 @@ class TrajectoryRun:
 
 
 def transport_run(problem: TransportProblem, grid: Grid) -> TrajectoryRun:
+    # v keeps the range of its latest grid only: take the fine grid's before
+    # the coarse grid's validation; the fine grid's starts with this call
+    speeds = problem.v.range_on(grid)
     fine, coarse = (w.check_finite() for w in
                     solve_fields(problem, [grid, grid.coarsened_space()]))
     b_values = np.asarray(problem.b(grid.times), dtype=float) * np.ones_like(grid.times)
     return TrajectoryRun(
         kind="transport", grid=grid, state=fine, state_coarse=coarse,
-        ext=extremals(problem.v, grid, problem.coeffs.a),
+        ext=extremals(problem.v, grid, problem.coeffs.a, speeds),
         b_values=b_values,
         f_rows=sample_grid(problem.coeffs.f, grid),
         phi_row=np.asarray(problem.phi(grid.xs), dtype=float) * np.ones_like(grid.xs),

@@ -26,7 +26,8 @@ remain well-defined; this is the usual Lipschitz extension of the velocity
 off the domain, and a speed of t alone moves every position alike.  The
 scalar steps of this module read v on Python floats: an expression speed
 through its float function (``SpaceTimeField.on_floats``), so a flow, march
-or inverse makes no numpy call per stage.  The fan's array steps read v
+or inverse makes no numpy call per stage, and a float stage is clamped by
+two comparisons, with no builtin call.  The fan's array steps read v
 through its numpy function, as every field does.
 """
 
@@ -61,17 +62,22 @@ def rk4_step(v: VelocityField, t, x, h):
     (``_uniform_in_x``) is read once per stage time, at x = 0: each position
     moves by the displacement the array form gives it, bit for bit.  Any
     other speed is read at positions clamped to [0, 1], through
-    ``v.on_floats`` when x is a float."""
+    ``v.on_floats`` when x is a float; a float position c is clamped as
+    ``0.0 if c < 0.0 else 1.0 if c > 1.0 else c``, which gives the bits of
+    ``min(max(c, 0.0), 1.0)``, NaN and -0.0 included."""
     if v._uniform_in_x:
         k1 = v(t, 0.0)
         k2 = k3 = v(t + 0.5 * h, 0.0)
         k4 = v(t + h, 0.0)
     elif isinstance(x, float):
         f = v.on_floats
-        k1 = f(t, min(max(x, 0.0), 1.0))
-        k2 = f(t + 0.5 * h, min(max(x + 0.5 * h * k1, 0.0), 1.0))
-        k3 = f(t + 0.5 * h, min(max(x + 0.5 * h * k2, 0.0), 1.0))
-        k4 = f(t + h, min(max(x + h * k3, 0.0), 1.0))
+        k1 = f(t, 0.0 if x < 0.0 else 1.0 if x > 1.0 else x)
+        c = x + 0.5 * h * k1
+        k2 = f(t + 0.5 * h, 0.0 if c < 0.0 else 1.0 if c > 1.0 else c)
+        c = x + 0.5 * h * k2
+        k3 = f(t + 0.5 * h, 0.0 if c < 0.0 else 1.0 if c > 1.0 else c)
+        c = x + h * k3
+        k4 = f(t + h, 0.0 if c < 0.0 else 1.0 if c > 1.0 else c)
     else:
         k1 = v(t, x.clip(0.0, 1.0))
         k2 = v(t + 0.5 * h, (x + 0.5 * h * k1).clip(0.0, 1.0))
@@ -192,17 +198,18 @@ class CharacteristicEngine:
         position.  ``samples``, a pair of lists, gets the time and position
         after every step.
         """
+        v, dt = self.v, self.dt
         sign = 1.0 if until >= t else -1.0
         s, pos = float(t), float(x)
         left = sign * (until - s)
         while left > 1e-15:
-            h = min(self.dt, left)
-            nxt = float(rk4_step(self.v, s, pos, sign * h))
+            h = min(dt, left)
+            nxt = float(rk4_step(v, s, pos, sign * h))
             if wall is not None and sign * (nxt - wall) >= 0.0:
                 lo, hi = 0.0, h  # length of the step that reaches the wall
                 for _ in range(WALL_HALVINGS):
                     mid = 0.5 * (lo + hi)
-                    if sign * (float(rk4_step(self.v, s, pos, sign * mid)) - wall) >= 0.0:
+                    if sign * (float(rk4_step(v, s, pos, sign * mid)) - wall) >= 0.0:
                         hi = mid
                     else:
                         lo = mid

@@ -35,7 +35,13 @@ an unbound variable; sums, differences and products follow IEEE arithmetic.
 The float function raises on exactly the same inputs, with the same
 messages: ``math``'s ValueError and OverflowError from ^ and exp become
 these errors, sin and cos of an infinity give NaN, and min and max
-propagate NaN, as their numpy counterparts do.
+propagate NaN, as their numpy counterparts do.  It computes sin(a) and
+cos(a) inline, as ``math.sin(a) if a - a == 0.0 else a - a``, with no
+wrapper call: a - a is 0.0 exactly when a is finite, so an infinity gives
+the NaN of inf - inf, which is the NaN ``np.sin`` gives (0xfff8... on x86),
+and a NaN comes back as it went in, sign and payload included.
+``_sin_float`` and ``_cos_float`` compute the same bits through a call,
+for a walk of the tree.
 """
 
 from __future__ import annotations
@@ -371,11 +377,12 @@ def _sqrt_float(x):
 
 
 def _sin_float(x):
-    return math.sin(x) if math.isfinite(x) else math.nan  # math.sin(inf) raises
+    # math.sin(inf) raises; x - x is np.sin's NaN for an infinity, x for a NaN
+    return math.sin(x) if math.isfinite(x) else x - x
 
 
 def _cos_float(x):
-    return math.cos(x) if math.isfinite(x) else math.nan
+    return math.cos(x) if math.isfinite(x) else x - x
 
 
 def _min_float(a, b):
@@ -399,7 +406,12 @@ _FLOAT_RUNTIME = {
     "_fn_exp": _exp_float, "_fn_ln": _ln_float, "_fn_sin": _sin_float,
     "_fn_cos": _cos_float, "_fn_sqrt": _sqrt_float, "_fn_abs": abs,
     "_fn_min": _min_float, "_fn_max": _max_float,
+    "_msin": math.sin, "_mcos": math.cos,
 }
+# sin and cos inline in the float code (see the module docstring); an
+# operand is always a plain name, so repeating it costs nothing
+_FLOAT_INLINE = {"sin": "(_msin({0}) if {0} - {0} == 0.0 else {0} - {0})",
+                 "cos": "(_mcos({0}) if {0} - {0} == 0.0 else {0} - {0})"}
 _FLOAT_PARAMS = ("t", "x")
 _BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}",
            "/": "_div({}, {})", "^": "_pow({}, {})"}
@@ -445,6 +457,8 @@ def _compile(root: Node, runtime: Mapping[str, object] = _RUNTIME):
                 template, children = _BINOPS[node.op], (node.left, node.right)
             elif isinstance(node, Call) and f"_fn_{node.func}" in runtime:
                 template = f"_fn_{node.func}({', '.join(['{}'] * len(node.args))})"
+                if floats:
+                    template = _FLOAT_INLINE.get(node.func, template)
                 children = node.args
             else:
                 raise TypeError(f"unknown node {node!r}")

@@ -102,6 +102,8 @@ class SpaceTimeField:
 
     ``on_floats`` is the function to read at Python floats t and x: the
     expression's float function for a field built from one, else ``fn``.
+    It is looked up on the first read and kept on the field, since a scalar
+    RK4 step reads it at every step.
     """
 
     _expression: Optional[Expression] = None  # set by from_expression only
@@ -117,7 +119,7 @@ class SpaceTimeField:
         out._expression = e
         return out
 
-    @property
+    @cached_property
     def on_floats(self) -> Callable:
         e = self._expression
         return self._fn if e is None else e.float_function()

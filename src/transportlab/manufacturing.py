@@ -81,9 +81,10 @@ class ProductionScenario:
     the whole range the state can visit; that range, the speed range it
     induces, and the Lipschitz constants that size the fixed-point window are
     all sampled here once, over ``horizon``, so every later operation works
-    from the same recorded envelope.  Construction rejects data that are
-    incompatible at the inflow corner (value or slope), since the closed loop
-    would otherwise start from an inconsistent state.
+    from the same recorded envelope.  Construction rejects data that are not
+    finite on their range, the inflow density rho_s exp(b) included, and data
+    that are incompatible at the inflow corner (value or slope), since the
+    closed loop would otherwise start from an inconsistent state.
     """
 
     rho_s: float
@@ -118,8 +119,12 @@ class ProductionScenario:
         self.b_inf = float(bv.min())
         self.b_sup = float(bv.max())
 
+        inflow = self.rho_s * np.exp(bv)
+        if not np.all(np.isfinite(inflow)):
+            raise ManufacturingError("inflow density is not finite on the horizon")
+
         self.l_rho0 = _SAFETY * _fd_max(r0, xs)
-        self.l_btilde = _SAFETY * _fd_max(self.rho_s * np.exp(bv), ts)
+        self.l_btilde = _SAFETY * _fd_max(inflow, ts)
 
         self.rho_min = min(float(r0.min()), self.rho_s * math.exp(self.b_inf))
         self.rho_max = max(float(r0.max()), self.rho_s * math.exp(self.b_sup))

@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .fields import ROW_BLOCK, Grid, SpaceTimeField, VelocityField, row_blocks
+from .fields import (ROW_BLOCK, Grid, SpaceTimeField, SpeedRange, VelocityField,
+                     row_blocks)
 
 __all__ = [
     "cumulative_trapezoid",
@@ -112,10 +113,11 @@ class Extremals:
     a_max: np.ndarray
 
 
-def extremals(v: VelocityField, grid: Grid,
-              a: Optional[SpaceTimeField] = None) -> Extremals:
-    """The running minimum of v from ``v.range_on(grid)``; dv/dx and a
-    sampled on the grid, and their running maxima accumulated."""
+def extremals(v: VelocityField, grid: Grid, a: Optional[SpaceTimeField] = None,
+              speeds: Optional[SpeedRange] = None) -> Extremals:
+    """The running minimum of v from ``speeds``, v's range on the grid
+    (``v.range_on(grid)`` when not given); dv/dx and a sampled on the grid,
+    and their running maxima accumulated."""
     slope_rows = np.empty(grid.nt + 1)
     a_rows = np.zeros(grid.nt + 1)
     for rows, block in row_blocks(v.ddx, grid):
@@ -124,7 +126,7 @@ def extremals(v: VelocityField, grid: Grid,
         for rows, block in row_blocks(a, grid):
             a_rows[rows] = np.max(block, axis=1)
     return Extremals(
-        vmin=v.range_on(grid).vmin,
+        vmin=(v.range_on(grid) if speeds is None else speeds).vmin,
         dvdx_max=np.maximum.accumulate(slope_rows),
         a_max=np.maximum.accumulate(a_rows),
     )

@@ -8,9 +8,14 @@ The first form runs simulate, certify, oracle-compare, experiments and sweep
 (seed 7) on each ``*_SRC`` scenario of ``tests/test_cli.py`` and on the
 README's scenario file, with whichever ``transportlab`` the path imports.
 Each run's artifacts land in ``OUT/<source>/<mode>/`` next to
-``<mode>.out``, its exit status and stdout.  Run it once per checkout.  The
-sources are read from the files, not imported, so a test module of one
-checkout can drive another checkout's package.
+``<mode>.out``, its exit status and stdout.  For each transport and
+continuity source, ``OUT/<source>/points.out`` holds ``solve_point`` of the
+problem the CLI solves (the log state, for continuity) on the scenario's
+grid at a fixed lattice of (t, x) on both sides of the separatrix: one line
+``t x value`` per point, the value's ``repr`` or the error it raised; no CLI
+mode calls ``solve_point``.  Run it once per checkout.  The sources are read
+from the files, not imported, so a test module of one checkout can drive
+another checkout's package.
 
 The second form prints, for each artifact that differs between the two
 directories, how many of its values differ (CSV cells, JSON leaves, lines of
@@ -31,6 +36,9 @@ from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 MODES = ("simulate", "certify", "oracle-compare", "experiments", "sweep")
+# solve_point queries: fractions of the horizon, and positions
+POINT_TIMES = (0.25, 0.5, 0.75, 1.0)
+POINT_XS = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 
 
 def sources() -> dict:
@@ -59,6 +67,36 @@ def write_artifacts(out: str):
                 status = cli.main(["run", path, "--mode", mode, "--seed", "7",
                                    "--out", os.path.join(name, mode)])
             Path(name, f"{mode}.out").write_text(f"exit {status}\n{stdout.getvalue()}")
+        points = _points(path)
+        if points is not None:
+            Path(name, "points.out").write_text(points)
+
+
+def _points(path: str):
+    """The ``points.out`` text of a transport or continuity scenario file."""
+    import numpy as np
+    from transportlab import continuity, scenarios, transport
+
+    try:
+        sc = scenarios.load_scenario(path)
+    except ValueError:  # the modes' .out files hold the error
+        return None
+    if sc.problem == "transport":
+        problem = scenarios.transport_problem(sc)
+    elif sc.problem == "continuity":
+        problem = continuity.log_state_problem(sc.rho_s, *scenarios.continuity_data(sc))
+    else:
+        return None
+    lines = []
+    with np.errstate(all="ignore"):
+        for t in (f * sc.horizon for f in POINT_TIMES):
+            for x in POINT_XS:
+                try:
+                    value = repr(transport.solve_point(problem, sc.grid(), t, x))
+                except ValueError as err:
+                    value = f"{type(err).__name__}: {err}"
+                lines.append(f"{t!r} {x!r} {value}\n")
+    return "".join(lines)
 
 
 VERDICTS = ("exit", "verdict", "passed")
@@ -78,9 +116,12 @@ def _flatten(value, key=()):
 def _values(path: Path) -> dict:
     """An artifact's values as text, keyed so that the last part of a key
     names a verdict where it is one: CSV cells by row and column name, JSON
-    leaves by their path, and the lines of a ``.out`` by number, or by
-    ``exit`` and ``verdict``."""
+    leaves by their path, ``solve_point`` values by (t, x), and the lines of
+    any other ``.out`` by number, or by ``exit`` and ``verdict``."""
     text = path.read_text()
+    if path.name == "points.out":
+        return {tuple(line.split(" ", 2)[:2]): line.split(" ", 2)[2]
+                for line in text.splitlines()}
     if path.suffix == ".csv":
         header, *rows = csv.reader(io.StringIO(text))
         return {(i, name): cell for i, row in enumerate(rows)

@@ -17,7 +17,9 @@ solves them.  ``two_solves``, ``transport_run``, ``continuity_run`` and
 own, as they did before one fan served both grids.  ``tree_value`` walks an
 expression tree, evaluating each node wherever it occurs, as expressions
 were evaluated before a compiled function computed each distinct subtree
-once.
+once.  ``float_rk4_step`` is the float branch of ``rk4_step`` as it read an
+expression speed through the float runtime's ``_sin_float`` and
+``_cos_float`` and clamped each stage with ``min(max(...))``.
 """
 
 import math
@@ -328,3 +330,16 @@ def tree_value(node, runtime, env):
     right = tree_value(node.right, runtime, env)
     return {"+": operator.add, "-": operator.sub, "*": operator.mul,
             "/": runtime["_div"], "^": runtime["_pow"]}[node.op](left, right)
+
+
+def float_rk4_step(e, t, x, h):
+    """One RK4 step of dX/ds = e(s, X) on Python floats, each stage read
+    through ``tree_value`` at its position clamped by ``min(max(...))``."""
+    def f(t, x):
+        return tree_value(e.root, expr._FLOAT_RUNTIME, {"t": t, "x": x})
+
+    k1 = f(t, min(max(x, 0.0), 1.0))
+    k2 = f(t + 0.5 * h, min(max(x + 0.5 * h * k1, 0.0), 1.0))
+    k3 = f(t + 0.5 * h, min(max(x + 0.5 * h * k2, 0.0), 1.0))
+    k4 = f(t + h, min(max(x + h * k3, 0.0), 1.0))
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -17,6 +17,7 @@ from transportlab.bounds import (
     mu_is_valid,
     transport_run,
 )
+from transportlab import fields
 from transportlab.fields import (
     BoundarySignal,
     Grid,
@@ -379,3 +380,30 @@ def test_transport_run_samples_the_boundary_through_one_fan_and_the_traces_in_bu
         assert signal.calls == 5
         assert np.array_equal(run.b_values, reference_forms.b_values(problem, grid))
         assert np.array_equal(run.f_rows, reference_forms.f_rows(problem, grid))
+
+
+def test_a_run_samples_v_once_on_each_of_its_grids(monkeypatch):
+    # validation samples v's range on the fine grid, then on the coarse one;
+    # the extremals read the fine grid's without sampling v there again
+    passes = []
+    row_blocks = fields.row_blocks
+
+    def counted(fn, grid):
+        passes.append((fn, grid.nx))
+        return row_blocks(fn, grid)
+
+    monkeypatch.setattr(fields, "row_blocks", counted)
+    grid = Grid(121, 0.005, 0.6)
+    v = VelocityField.from_expression("1 + 0.1*cos(pi*x)")
+    problem = TransportProblem(
+        phi=InitialProfile.from_expression("0.3 + x^2"),
+        b=BoundarySignal.from_expression("0.3*cos(2*t)"), v=v,
+        coeffs=TransportCoefficients(a=SpaceTimeField.from_expression("-0.1*x"),
+                                     f=SpaceTimeField.zero()))
+    runs = [transport_run(problem, grid),
+            continuity_run(1.0, InitialProfile.from_expression("1.1 + 0.2*x^2"),
+                           BoundarySignal.from_expression("0.0953101798043249"), v, grid)]
+    assert [nx for fn, nx in passes if fn is v._fn] == [121, 61] * 2
+    vmin, _, _ = reference_forms.extremals(v, grid)
+    for run in runs:
+        assert np.array_equal(run.ext.vmin, vmin)

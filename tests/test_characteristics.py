@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from transportlab.characteristics import CharacteristicEngine, CharacteristicsError, rk4_step
 from transportlab.fields import Grid, VelocityField
 from transportlab.manufacturing import sampled_velocity
+
+import reference_forms
 
 # Closed-form oracles for v = 1 + x (solved by separation of variables):
 #   X(s; 0, x0) = (1 + x0) e^s - 1,   exit of x0=0 at s = ln 2
@@ -268,3 +271,19 @@ def test_uniform_step_equals_the_array_step_bitwise(h):
         assert np.array_equal(rk4_step(SAMPLED, t, xs, h), rk4_step(plain, t, xs, h))
         for x in (0.0, 0.3, 1.0):
             assert rk4_step(SAMPLED, t, x, h).hex() == rk4_step(plain, t, x, h).hex()
+
+
+def test_float_steps_give_the_bits_of_the_reference_step():
+    # the inline sin and cos and the comparison clamps keep every bit of the
+    # step that called the float runtime's helpers and clamped by min(max)
+    text = "1.3 + 0.1*sin(2*pi*x + 4.5)*cos(1.6*t) - 0.05*cos(3*x)*cos(3*x)"
+    v = VelocityField.from_expression(text)
+    rng = np.random.default_rng(2024)
+    cases = [(t, x, h) for t, x, h in zip(rng.uniform(0.0, 1.0, 20_000).tolist(),
+                                          rng.uniform(-0.1, 1.1, 20_000).tolist(),
+                                          rng.choice([5e-3, -5e-3, 1e-3], 20_000).tolist())]
+    cases += [(0.4, x, h) for x in (-0.0, math.nan, -0.1, 1.1) for h in (5e-3, -5e-3)]
+    for t, x, h in cases:
+        got = rk4_step(v, t, x, h)
+        assert struct.pack("<d", got) == struct.pack(
+            "<d", reference_forms.float_rk4_step(v._expression, t, x, h)), (t, x, h)

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transportlab import cli
 from transportlab.bounds import BoundCertificate, certify
@@ -460,6 +460,37 @@ def test_overflowing_density_reports_json_without_warning(tmp_path, capfd):
     assert "Traceback" not in captured.err
 
 
+# exp(b) overflows on the horizon, while b itself is finite
+HUGE_INFLOW = """\
+problem = manufacturing
+lambda = "1/(1 + W)"
+rho0 = "1"
+b = "710"
+nx = 2
+dt = 0.01
+horizon = 0.01
+rho_s = 1.0
+"""
+
+
+@pytest.mark.parametrize("mode", ["simulate", "certify"])
+@pytest.mark.parametrize("b,message", [
+    ("710", "inflow density is not finite on the horizon"),
+    ("ln(1e300) + 1e300", "inflow density is not finite on the horizon"),
+    ("-800", "incompatible corner data: setpoint times exp(b(0)) differs from "
+             "rho0(0) by 1.000e+00"),
+])
+def test_a_non_finite_inflow_density_reports_json(tmp_path, capfd, mode, b, message):
+    path = write(tmp_path, "flood.txt", HUGE_INFLOW.replace('"710"', f'"{b}"'))
+    rc = cli.main(["run", path, "--mode", mode, "--out", str(tmp_path)])
+    assert rc == 2
+    captured = capfd.readouterr()
+    report = json.loads(captured.out)
+    assert report["error"] == "ScenarioError"
+    assert report["messages"] == [f"manufacturing data: {message}"]
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_sweep_count_below_one_reports_json(tmp_path, capsys, count):
     path = write(tmp_path, "none.txt", TRANSPORT_SRC + f"count = {count}\n")
@@ -711,6 +742,8 @@ def _hostile_files(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_hostile_files())
+@example(("certify", HUGE_INFLOW))
+@example(("simulate", HUGE_INFLOW.replace('"710"', '"ln(1e300) + 1e300"')))
 def test_hostile_files_reach_one_defined_outcome(case):
     mode, src = case
     with tempfile.TemporaryDirectory() as out:
@@ -745,6 +778,8 @@ def test_artifact_compare_reports_how_far_values_moved(tmp_path):
              "s/certify/c.json": ('{"passed": true, "m": [0.5, 1]}',
                                   '{"passed": true, "m": [0.5, 1.5]}'),
              "s/certify.out": ("exit 0\nverdict: pass\n", "exit 1\nverdict: fail\n"),
+             "s/points.out": ("0.5 0.1 0.25\n0.5 0.9 CharacteristicsError: x in (0, 1]\n",
+                              "0.5 0.1 0.375\n0.5 0.9 CharacteristicsError: x in (0, 1]\n"),
              "s/same.txt": ("a\n", "a\n")}
     for name, texts in files.items():
         for root, text in zip((base, head), texts):
@@ -755,6 +790,7 @@ def test_artifact_compare_reports_how_far_values_moved(tmp_path):
         "s/certify.out: 2 of 2 values differ\n  exit: 0 -> 1\n  verdict: pass -> fail",
         "s/certify/c.json: 1 of 3 values differ; largest change 0.5 absolute, 0.333 relative",
         "s/gone.out: only in base",
+        "s/points.out: 1 of 2 values differ; largest change 0.125 absolute, 0.333 relative",
         "s/simulate/f.csv: 2 of 6 values differ; largest change 2 absolute, 1 relative",
         "s/sweep/w.csv: 1 of 2 values differ\n  0/passed: 1 -> 0",
     ]

@@ -247,3 +247,16 @@ def test_a_validated_speed_keeps_its_range_not_its_rows():
     finally:
         tracemalloc.stop()
     assert kept < (grid.nt + 1) * grid.nx * 8 / 10
+
+
+def test_on_floats_is_looked_up_once_per_field(monkeypatch):
+    # a scalar step reads on_floats at every step: the first read keeps the
+    # float function on the field, and later reads ask the expression nothing
+    v = VelocityField.from_expression("1 + 0.5*sin(x)")
+    f = v.on_floats
+    assert f is v._expression.float_function()
+    monkeypatch.setattr(type(v._expression), "float_function",
+                        lambda self: pytest.fail("float function asked for again"))
+    assert v.on_floats is f
+    plain = SpaceTimeField(lambda t, x: t + x)
+    assert plain.on_floats is plain._fn
